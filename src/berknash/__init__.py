@@ -10,7 +10,6 @@ from .mdp import (
     ReducibleChainError,
     deterministic_policy,
     induced_kernel,
-    policy_from_frequencies,
     policy_value,
     state_action_frequencies,
     stationary_distribution,
@@ -66,11 +65,9 @@ from .equilibrium import (
 )
 from .learning import (
     BanditConfig,
-    BanditState,
     Exp3RunRecord,
     ZoomConfig,
     ZoomRunRecord,
-    estimate_loss,
     exp3_update,
     oracle_loss,
     prune,

@@ -20,8 +20,8 @@ from .mdp import (
     ReducibleChainError,
     state_action_frequencies,
 )
-from .models import ConjectureSet, kl_cost_table, long_run_divergence
-from .planning import greedy_sets, occupation_of_policy, value_iteration
+from .models import ConjectureSet, divergence_vector, kl_cost_table, long_run_divergence
+from .planning import greedy_policies, greedy_sets, occupation_of_policy, value_iteration
 from .soft_planning import SoftPlanConfig, soft_best_response
 
 DEFAULT_FEAS_TOL = 1e-7
@@ -137,7 +137,7 @@ def check_joint_feasibility(
     residuals[GROUP_POLICY_CONSISTENCY] = float(policy_res)
 
     # (iv) k attains the minimal frequency-weighted KL cost
-    divs = np.array([long_run_divergence(d, kl_cost_table(m, q)) for q in cs])
+    divs = divergence_vector(m, cs, d)
     residuals[GROUP_KL_MINIMALITY] = float(max(0.0, (divs[k] - divs).max()))
 
     failed = tuple(g for g, r in residuals.items() if r > tol)
@@ -148,12 +148,7 @@ def _hard_candidates(m_k: MDPInstance) -> list[tuple[str, np.ndarray, int]]:
     """Deterministic and uniform-tie best responses under one model."""
     sets = greedy_sets(m_k, value_iteration(m_k))
     tie_states = sum(1 for s in sets if s.size > 1)
-    S, A = m_k.num_states, m_k.num_actions
-    lowest = np.zeros((S, A))
-    uniform = np.zeros((S, A))
-    for x, actions in enumerate(sets):
-        lowest[x, actions[0]] = 1.0
-        uniform[x, actions] = 1.0 / actions.size
+    lowest, uniform = greedy_policies(sets, m_k.num_actions)
     out = [("br-lowest", lowest, tie_states)]
     if tie_states:
         out.append(("br-uniform", uniform, tie_states))

@@ -81,7 +81,7 @@ def benchmark3() -> tuple[MDPInstance, ConjectureSet]:
         initial_dist=np.full(3, 1.0 / 3.0),
     )
     validate_instance(m)
-    return m, mixture_family(m, BENCHMARK_EPSILONS, bounds=(0.0, 1.0))
+    return m, mixture_family(m, BENCHMARK_EPSILONS)
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class LambdaGridConfig:
     lo: float = 1e-4
     hi: float = 1e4
     points: int = 33
-    reference_state: int = 0
     model_index: int = 0
 
     def values(self) -> np.ndarray:
@@ -127,12 +126,18 @@ def _section(data: dict, name: str) -> dict:
     return sub
 
 
+def _number(value, field: str, integer: bool = False):
+    """``value`` itself, if it is an integer (any real number unless ``integer``)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{field}: expected {kind}, got {value!r}")
+    return value
+
+
 def _build(section_name: str, cls, kwargs: dict):
     try:
         return cls(**kwargs)
-    except TypeError as err:
-        raise ConfigError(f"{section_name}: {err}") from None
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"{section_name}: {err}") from None
 
 
@@ -144,41 +149,49 @@ def _instance_from_spec(spec) -> MDPInstance:
     missing = {"kernel", "rewards", "discount", "initial_dist"} - set(spec)
     if missing:
         raise ConfigError(f"mdp: missing fields {sorted(missing)}")
-    m = MDPInstance(
-        kernel=np.asarray(spec["kernel"], dtype=float),
-        rewards=np.asarray(spec["rewards"], dtype=float),
-        discount=float(spec["discount"]),
-        initial_dist=np.asarray(spec["initial_dist"], dtype=float),
-    )
     try:
+        m = MDPInstance(
+            kernel=np.asarray(spec["kernel"], dtype=float),
+            rewards=np.asarray(spec["rewards"], dtype=float),
+            discount=float(spec["discount"]),
+            initial_dist=np.asarray(spec["initial_dist"], dtype=float),
+        )
         validate_instance(m)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"mdp: {err}") from None
     return m
 
 
 def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
     if spec is None:
-        return mixture_family(m, BENCHMARK_EPSILONS, bounds=(0.0, 1.0))
+        return mixture_family(m, BENCHMARK_EPSILONS)
     if not isinstance(spec, dict):
         raise ConfigError("conjectures: expected an object")
     if "epsilons" in spec:
         try:
-            return mixture_family(m, spec["epsilons"], bounds=(0.0, 1.0))
-        except ValueError as err:
+            return mixture_family(m, spec["epsilons"])
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"conjectures.epsilons: {err}") from None
     if "kernels" in spec:
+        if not isinstance(spec["kernels"], list):
+            raise ConfigError("conjectures.kernels: expected a list of {kernel, label, param}")
         members = []
         for i, item in enumerate(spec["kernels"]):
             try:
+                kernel = np.asarray(item["kernel"], dtype=float)
+                if kernel.shape != m.kernel.shape:
+                    raise ValueError(
+                        f"kernel shape {kernel.shape} does not match the instance's "
+                        f"{m.kernel.shape}"
+                    )
                 members.append(
                     SubjectiveKernel(
-                        kernel=np.asarray(item["kernel"], dtype=float),
+                        kernel=kernel,
                         label=str(item.get("label", f"model-{i}")),
                         param=item.get("param"),
                     )
                 )
-            except (KeyError, ValueError) as err:
+            except (KeyError, TypeError, ValueError) as err:
                 raise ConfigError(f"conjectures.kernels[{i}]: {err}") from None
         return ConjectureSet(members=tuple(members))
     raise ConfigError("conjectures: provide either 'epsilons' or 'kernels'")
@@ -198,9 +211,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"experiment: must be one of {EXPERIMENT_KINDS}, got {kind!r}"
         )
-    seed = data.get("seed", 11)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
+    seed = _number(data.get("seed", 11), "seed", integer=True)
 
     instance = _instance_from_spec(data.get("mdp", "benchmark3"))
     conjectures = _conjectures_from_spec(data.get("conjectures"), instance)
@@ -214,28 +225,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     zoom_section = dict(_section(data, "zoom"))
     initial_grid = zoom_section.pop("initial_grid", 6)
-    if not isinstance(initial_grid, int) or initial_grid < 1:
+    if _number(initial_grid, "zoom.initial_grid", integer=True) < 1:
         raise ConfigError(f"zoom.initial_grid: expected a positive integer, got {initial_grid!r}")
-    if "bounds" in zoom_section:
-        zoom_section["bounds"] = tuple(zoom_section["bounds"])
-    else:
-        zoom_section["bounds"] = (0.0, 0.5)
+    bounds = zoom_section.get("bounds", [0.0, 0.5])
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ConfigError(f"zoom.bounds: expected a [lo, hi] pair, got {bounds!r}")
+    zoom_section["bounds"] = tuple(_number(b, "zoom.bounds") for b in bounds)
     zoom = _build("zoom", ZoomConfig, zoom_section)
 
     grid_section = _section(data, "lambda_grid")
-    lam_grid = _build(
-        "lambda_grid",
-        LambdaGridConfig,
-        {
-            "lo": grid_section.get("min", 1e-4),
-            "hi": grid_section.get("max", 1e4),
-            "points": grid_section.get("points", 33),
-            "reference_state": grid_section.get("reference_state", 0),
-            "model_index": grid_section.get("model_index", 0),
-        },
+    lam_grid = LambdaGridConfig(
+        lo=_number(grid_section.get("min", 1e-4), "lambda_grid.min"),
+        hi=_number(grid_section.get("max", 1e4), "lambda_grid.max"),
+        points=_number(grid_section.get("points", 33), "lambda_grid.points", integer=True),
+        model_index=_number(grid_section.get("model_index", 0), "lambda_grid.model_index",
+                            integer=True),
     )
-    if not (0 <= lam_grid.reference_state < instance.num_states):
-        raise ConfigError("lambda_grid.reference_state: out of range for instance")
     if not (0 <= lam_grid.model_index < len(conjectures)):
         raise ConfigError("lambda_grid.model_index: out of range for conjecture set")
     if lam_grid.points < 2 or lam_grid.lo <= 0 or lam_grid.hi <= lam_grid.lo:
@@ -272,7 +277,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             "min": lam_grid.lo,
             "max": lam_grid.hi,
             "points": lam_grid.points,
-            "reference_state": lam_grid.reference_state,
             "model_index": lam_grid.model_index,
         },
         "equilibrium": {"mode": eq_mode, "tol": eq_tol},

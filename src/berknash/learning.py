@@ -1,9 +1,9 @@
 """Online model selection as an adversarial bandit.
 
-Two learners are provided: an exponential-weights loop over a fixed
-conjecture set, and an adaptive variant that every ``zoom_interval`` rounds
-prunes clearly-suboptimal or resolved parameters and refines a local grid
-around the promising ones.
+One exponential-weights loop serves both learners. Over a fixed conjecture
+set it runs as is; the adaptive variant adds a zoom step that every
+``zoom_interval`` rounds prunes clearly-suboptimal or resolved parameters
+and refines a local grid around the promising ones.
 
 Randomness discipline: every random draw comes from a generator seeded by
 (seed, round, stream), with stream 0 for arm sampling and stream 1 for
@@ -13,7 +13,8 @@ of caching or evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,31 +72,6 @@ class BanditConfig:
             raise ValueError(f"loss_scale must be positive, got {self.loss_scale}")
 
 
-@dataclass
-class BanditState:
-    """Mutable per-run bookkeeping: weights, pull counts, running means."""
-
-    weights: np.ndarray
-    pull_counts: np.ndarray
-    mean_losses: np.ndarray
-    step: int = 0
-    cumulative_loss: float = 0.0
-    trace: list = field(default_factory=list)  # rows (t, arm, p_arm, loss)
-
-    @classmethod
-    def initial(cls, num_arms: int, prior_losses=None) -> "BanditState":
-        priors = (
-            np.zeros(num_arms)
-            if prior_losses is None
-            else np.asarray(prior_losses, dtype=float).copy()
-        )
-        return cls(
-            weights=np.ones(num_arms),
-            pull_counts=np.zeros(num_arms, dtype=int),
-            mean_losses=priors,
-        )
-
-
 def sampling_distribution(weights: np.ndarray, exploration: float) -> np.ndarray:
     """Exploration-mixed sampling law (1-gamma) w/sum(w) + gamma/K."""
     w = np.asarray(weights, dtype=float)
@@ -105,31 +81,20 @@ def sampling_distribution(weights: np.ndarray, exploration: float) -> np.ndarray
 
 
 def exp3_update(
-    state: BanditState, arm: int, loss: float, prob: float, learning_rate: float
-) -> BanditState:
-    """Importance-weighted exponential update of the pulled arm's weight.
+    weights: np.ndarray, arm: int, loss: float, prob: float, learning_rate: float
+) -> None:
+    """Importance-weighted exponential update of the pulled arm's weight, in place.
 
     Weights are renormalized by their max afterwards, which leaves the
     sampling law invariant and prevents underflow over long runs.
     """
     if prob <= 0.0:
         raise ValueError(f"pulled arm must have positive probability, got {prob}")
-    state.weights[arm] *= np.exp(-learning_rate * loss / prob)
-    state.weights /= state.weights.max()
+    weights[arm] *= np.exp(-learning_rate * loss / prob)
+    weights /= weights.max()
     # a deeply suppressed arm's weight can underflow to exact zero; the
     # floor keeps weights strictly positive without moving the sampling law
-    np.maximum(state.weights, 1e-300, out=state.weights)
-    return state
-
-
-def record_pull(state: BanditState, t: int, arm: int, prob: float, loss: float) -> None:
-    """Bookkeeping for one round: counts, running mean, cumulative, trace."""
-    n_prev = state.pull_counts[arm]
-    state.pull_counts[arm] = n_prev + 1
-    state.mean_losses[arm] = (n_prev * state.mean_losses[arm] + loss) / (n_prev + 1)
-    state.cumulative_loss += loss
-    state.step = t
-    state.trace.append((t, arm, prob, loss))
+    np.maximum(weights, 1e-300, out=weights)
 
 
 def uncertainty(pull_counts: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -162,12 +127,10 @@ def oracle_loss(
     q: SubjectiveKernel,
     pi: np.ndarray,
     loss_scale: float,
-    cost_table: np.ndarray | None = None,
 ) -> float:
     """Exact normalized long-run KL cost of running ``pi`` while conjecturing ``q``."""
-    c = kl_cost_table(m, q) if cost_table is None else cost_table
     d = state_action_frequencies(m, pi)
-    return min(long_run_divergence(d, c), loss_scale) / loss_scale
+    return min(long_run_divergence(d, kl_cost_table(m, q)), loss_scale) / loss_scale
 
 
 def rollout_loss(
@@ -223,23 +186,6 @@ def rollout_loss(
     return min(max(div, 0.0), loss_scale) / loss_scale
 
 
-def estimate_loss(
-    m: MDPInstance,
-    q: SubjectiveKernel,
-    pi: np.ndarray,
-    cfg: BanditConfig,
-    loss_scale: float,
-    rng: np.random.Generator | None = None,
-    cost_table: np.ndarray | None = None,
-) -> float:
-    """Loss in [0, 1] for one pull, per the configured estimator."""
-    if cfg.loss_estimator == "oracle":
-        return oracle_loss(m, q, pi, loss_scale, cost_table=cost_table)
-    if rng is None:
-        raise ValueError("rollout estimation needs an rng")
-    return rollout_loss(m, q, pi, cfg, loss_scale, rng)
-
-
 @dataclass(frozen=True)
 class Exp3RunRecord:
     """Full trace of one fixed-set run plus derived summaries.
@@ -258,79 +204,6 @@ class Exp3RunRecord:
     running_mean: np.ndarray
     regret: np.ndarray
     selection_frequencies: np.ndarray
-    final_probabilities: np.ndarray
-    state: BanditState
-
-
-def run_exp3(
-    m: MDPInstance,
-    cs: ConjectureSet,
-    cfg: BanditConfig,
-    soft_cfg: SoftPlanConfig,
-) -> Exp3RunRecord:
-    """Exponential-weights model selection over a fixed conjecture set.
-
-    The per-arm softmax best responses (and, in oracle mode, the losses
-    themselves) are deterministic, so they are computed once upfront.
-    """
-    K = len(cs)
-    loss_scale = resolve_loss_scale(m, cs.members, cfg)
-    policies = [
-        soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0] for q in cs
-    ]
-    tables = [kl_cost_table(m, q) for q in cs]
-    oracle = np.array(
-        [
-            oracle_loss(m, q, policies[k], loss_scale, cost_table=tables[k])
-            for k, q in enumerate(cs)
-        ]
-    )
-
-    state = BanditState.initial(K)
-    T = cfg.horizon
-    arms = np.zeros(T, dtype=int)
-    probs = np.zeros(T)
-    losses = np.zeros(T)
-
-    for t in range(1, T + 1):
-        p = sampling_distribution(state.weights, cfg.exploration)
-        arm = int(_round_rng(cfg.rng_seed, t, ARM_STREAM).choice(K, p=p))
-        if cfg.loss_estimator == "oracle":
-            loss = float(oracle[arm])
-        else:
-            loss = rollout_loss(
-                m,
-                cs.members[arm],
-                policies[arm],
-                cfg,
-                loss_scale,
-                _round_rng(cfg.rng_seed, t, ROLLOUT_STREAM),
-            )
-        record_pull(state, t, arm, float(p[arm]), loss)
-        exp3_update(state, arm, loss, float(p[arm]), cfg.learning_rate)
-        arms[t - 1] = arm
-        probs[t - 1] = p[arm]
-        losses[t - 1] = loss
-
-    steps = np.arange(1, T + 1)
-    running_mean = np.cumsum(losses) / steps
-    regret = np.cumsum(oracle[arms]) - steps * oracle.min()
-    frequencies = np.bincount(arms, minlength=K) / T
-
-    return Exp3RunRecord(
-        labels=tuple(q.label for q in cs),
-        params=tuple(q.param for q in cs),
-        loss_scale=loss_scale,
-        oracle_losses=oracle,
-        arms=arms,
-        probs=probs,
-        losses=losses,
-        running_mean=running_mean,
-        regret=regret,
-        selection_frequencies=frequencies,
-        final_probabilities=sampling_distribution(state.weights, cfg.exploration),
-        state=state,
-    )
 
 
 def prune(
@@ -468,6 +341,171 @@ class ZoomRunRecord:
     final_weights: np.ndarray
 
 
+class _LoopTrace(NamedTuple):
+    """Per-round record of :func:`_bandit_loop` plus the arm set it ended with."""
+
+    pulled: tuple  # key of the arm pulled in each round
+    probs: np.ndarray
+    losses: np.ndarray
+    set_sizes: np.ndarray
+    events: tuple
+    keys: list
+    weights: np.ndarray
+    counts: np.ndarray
+    means: np.ndarray
+
+    @property
+    def running_mean(self) -> np.ndarray:
+        return np.cumsum(self.losses) / np.arange(1, self.losses.size + 1)
+
+
+def _bandit_loop(
+    m: MDPInstance, keys, arm_for, oracle_for, cfg: BanditConfig, loss_scale: float,
+    zoom_cfg: ZoomConfig | None = None,
+) -> _LoopTrace:
+    """The exponential-weights loop shared by both learners.
+
+    Arms are identified by keys: ``arm_for(key)`` gives the arm's
+    ``(conjecture, policy)`` and ``oracle_for(key)`` its oracle loss. Each
+    round samples an arm, takes its loss (the oracle's, or a rollout of its
+    policy), updates its count, running mean and weight, and records the
+    round. With a ``zoom_cfg``, every ``zoom_interval`` rounds the arm set is
+    rebuilt by :func:`_zoom_step`.
+    """
+    keys = list(keys)
+    weights = np.ones(len(keys))
+    counts = np.zeros(len(keys), dtype=int)
+    means = np.zeros(len(keys))
+    rounds: list[tuple] = []  # (key, prob, loss, set size)
+    events: list[ZoomEvent] = []
+
+    for t in range(1, cfg.horizon + 1):
+        K = len(keys)
+        p = sampling_distribution(weights, cfg.exploration)
+        arm = int(_round_rng(cfg.rng_seed, t, ARM_STREAM).choice(K, p=p))
+        if cfg.loss_estimator == "oracle":
+            loss = oracle_for(keys[arm])
+        else:
+            q, pi = arm_for(keys[arm])
+            loss = rollout_loss(
+                m, q, pi, cfg, loss_scale, _round_rng(cfg.rng_seed, t, ROLLOUT_STREAM)
+            )
+        counts[arm] += 1
+        means[arm] += (loss - means[arm]) / counts[arm]
+        exp3_update(weights, arm, loss, float(p[arm]), cfg.learning_rate)
+        rounds.append((keys[arm], p[arm], loss, K))
+
+        if zoom_cfg is not None and t % zoom_cfg.zoom_interval == 0:
+            keys, weights, counts, means, event = _zoom_step(
+                t, keys, weights, counts, means, zoom_cfg
+            )
+            events.append(event)
+
+    pulled, probs, losses, set_sizes = zip(*rounds)
+    return _LoopTrace(
+        pulled, np.array(probs), np.array(losses), np.array(set_sizes),
+        tuple(events), keys, weights, counts, means,
+    )
+
+
+def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfig):
+    """Prune and refine the parameter set at zoom boundary ``t``.
+
+    Kept arms carry their weight, count and running mean over; new arms
+    start at the median kept weight with their parent's running mean as
+    prior. Returns the new ``(params, weights, counts, means)`` and the event.
+    """
+    alpha = zoom_cfg.alpha(t)
+    delta = zoom_cfg.delta(t)
+    rho = zoom_cfg.rho(t)
+    unc = uncertainty(counts, zoom_cfg.uncertainty_scale)
+    # Zoom decisions need evidence: never-pulled arms have no loss
+    # estimate yet, so they are kept untouched and neither pruned
+    # nor used as refinement centers.
+    pulled = np.flatnonzero(counts > 0)
+    kept_sub, pruned_sub = prune(means[pulled], unc[pulled], alpha, delta)
+    kept_idx = np.sort(
+        np.concatenate([pulled[kept_sub], np.flatnonzero(counts == 0)])
+    ).astype(int)
+    incumbent = int(pulled[np.argmin(means[pulled])])
+    best_mean = means[incumbent]
+
+    # Refinement centers: the grid is allowed to be any subset of the
+    # radius-rho ball, and refining every near-optimal arm grows the
+    # set geometrically (rho shrinks faster than the alpha band), so
+    # resolution is added around the best still-uncertain arm only.
+    active = [int(k) for k in pulled if means[k] <= best_mean + alpha and unc[k] >= delta]
+    # prune always retains the incumbent, so kept_params is nonempty
+    kept_params = [params[k] for k in kept_idx]
+    added: list = []
+    prior = 0.0
+    if active:
+        center = min(active, key=lambda k: (means[k], k))
+        prior = means[center]
+        fresh = refine(
+            [params[center]], rho, zoom_cfg.grid_size, zoom_cfg.bounds, existing=kept_params
+        )
+        # The refinement grid only has to be a subset of the radius-
+        # rho ball; points closer than rho/2 to an existing arm add
+        # no resolution and would let the set grow without bound.
+        for pp in fresh:
+            gap = min(
+                np.abs(np.atleast_1d(pp) - np.atleast_1d(qq)).max()
+                for qq in kept_params + added
+            )
+            if gap >= 0.5 * rho:
+                added.append(pp)
+
+    event = ZoomEvent(
+        t=t,
+        incumbent_param=params[incumbent],
+        kept=tuple(kept_params),
+        pruned=tuple((params[pulled[i]], why) for i, why in pruned_sub),
+        added=tuple(added),
+    )
+    median_w = float(np.median(weights[kept_idx]))
+    weights = np.concatenate([weights[kept_idx], np.full(len(added), median_w)])
+    weights /= weights.max()
+    counts = np.concatenate([counts[kept_idx], np.zeros(len(added), dtype=int)])
+    means = np.concatenate([means[kept_idx], np.full(len(added), prior)])
+    return kept_params + added, weights, counts, means, event
+
+
+def run_exp3(
+    m: MDPInstance,
+    cs: ConjectureSet,
+    cfg: BanditConfig,
+    soft_cfg: SoftPlanConfig,
+) -> Exp3RunRecord:
+    """Exponential-weights model selection over a fixed conjecture set.
+
+    Arms are keyed by member index (tabular conjectures carry no param).
+    The per-arm softmax best responses and oracle losses are deterministic,
+    so they are computed once upfront; the oracle losses also serve as the
+    regret reference in rollout mode.
+    """
+    loss_scale = resolve_loss_scale(m, cs.members, cfg)
+    policies = [soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0] for q in cs]
+    oracle = np.array([oracle_loss(m, q, pi, loss_scale) for q, pi in zip(cs, policies)])
+    run = _bandit_loop(m, range(len(cs)), lambda k: (cs.members[k], policies[k]),
+                       lambda k: float(oracle[k]), cfg, loss_scale)
+
+    arms = np.array(run.pulled, dtype=int)
+    steps = np.arange(1, cfg.horizon + 1)
+    return Exp3RunRecord(
+        labels=tuple(q.label for q in cs),
+        params=tuple(q.param for q in cs),
+        loss_scale=loss_scale,
+        oracle_losses=oracle,
+        arms=arms,
+        probs=run.probs,
+        losses=run.losses,
+        running_mean=run.running_mean,
+        regret=np.cumsum(oracle[arms]) - steps * oracle.min(),
+        selection_frequencies=np.bincount(arms, minlength=len(cs)) / cfg.horizon,
+    )
+
+
 def run_zoom_exp3(
     m: MDPInstance,
     family,
@@ -478,20 +516,20 @@ def run_zoom_exp3(
 ) -> ZoomRunRecord:
     """Adaptive exponential weights over a self-refining conjecture set.
 
-    ``family`` maps a parameter value to a :class:`SubjectiveKernel`. Every
-    ``zoom_interval`` rounds the current set is pruned by running mean and
-    uncertainty, then a finer local grid is added around the best arm that
-    is still uncertain enough to refine. Kept arms carry their statistics
-    over; new arms start at the median kept weight with their parent's
-    running mean as prior. The incumbent always survives and never-pulled
-    arms are left untouched, so the set is never empty.
+    ``family`` maps a parameter value to a :class:`SubjectiveKernel`; arms
+    are keyed by parameter value. Every ``zoom_interval`` rounds the current
+    set is pruned by running mean and uncertainty, then a finer local grid is
+    added around the best arm that is still uncertain enough to refine (see
+    :func:`_zoom_step`). The incumbent always survives and never-pulled arms
+    are left untouched, so the set is never empty. An added arm's kernel and
+    best response are computed on its first pull, so arms pruned unpulled
+    cost no planning.
     """
     params = [float(p) if np.ndim(p) == 0 else np.asarray(p, float) for p in initial_params]
     if not params:
         raise ValueError("initial conjecture set must be nonempty")
 
-    kernels: dict = {}
-    policies: dict = {}
+    arms: dict = {}  # hashable param -> (conjecture, policy)
     oracle_cache: dict = {}
 
     def key(p):
@@ -499,140 +537,32 @@ def run_zoom_exp3(
 
     def arm_for(p):
         k = key(p)
-        if k not in kernels:
+        if k not in arms:
             q = family(p)
-            kernels[k] = q
-            policies[k], _, _ = soft_best_response(m.with_kernel(q.kernel), soft_cfg)
-        return kernels[k], policies[k]
+            arms[k] = (q, soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0])
+        return arms[k]
 
-    def arm_oracle_loss(p, loss_scale):
+    def oracle_for(p):
         k = key(p)
         if k not in oracle_cache:
-            q, pi = arm_for(p)
-            oracle_cache[k] = oracle_loss(m, q, pi, loss_scale)
+            oracle_cache[k] = oracle_loss(m, *arm_for(p), loss_scale)
         return oracle_cache[k]
 
-    initial_members = [arm_for(p)[0] for p in params]
-    loss_scale = resolve_loss_scale(m, initial_members, cfg)
+    loss_scale = resolve_loss_scale(m, [arm_for(p)[0] for p in params], cfg)
+    run = _bandit_loop(m, params, arm_for, oracle_for, cfg, loss_scale, zoom_cfg)
 
-    weights = np.ones(len(params))
-    counts = np.zeros(len(params), dtype=int)
-    means = np.zeros(len(params))
-
-    T = cfg.horizon
-    selected = np.zeros(T)
-    probs = np.zeros(T)
-    losses = np.zeros(T)
-    set_sizes = np.zeros(T, dtype=int)
-    events: list[ZoomEvent] = []
-
-    for t in range(1, T + 1):
-        K = len(params)
-        p = sampling_distribution(weights, cfg.exploration)
-        arm = int(_round_rng(cfg.rng_seed, t, ARM_STREAM).choice(K, p=p))
-        if cfg.loss_estimator == "oracle":
-            loss = arm_oracle_loss(params[arm], loss_scale)
-        else:
-            q, pi = arm_for(params[arm])
-            loss = rollout_loss(
-                m, q, pi, cfg, loss_scale, _round_rng(cfg.rng_seed, t, ROLLOUT_STREAM)
-            )
-        counts[arm] += 1
-        means[arm] += (loss - means[arm]) / counts[arm]
-        weights[arm] *= np.exp(-cfg.learning_rate * loss / p[arm])
-        weights /= weights.max()
-        np.maximum(weights, 1e-300, out=weights)
-
-        selected[t - 1] = params[arm] if np.ndim(params[arm]) == 0 else np.nan
-        probs[t - 1] = p[arm]
-        losses[t - 1] = loss
-        set_sizes[t - 1] = K
-
-        if t % zoom_cfg.zoom_interval == 0:
-            alpha = zoom_cfg.alpha(t)
-            delta = zoom_cfg.delta(t)
-            rho = zoom_cfg.rho(t)
-            unc = uncertainty(counts, zoom_cfg.uncertainty_scale)
-            # Zoom decisions need evidence: never-pulled arms have no loss
-            # estimate yet, so they are kept untouched and neither pruned
-            # nor used as refinement centers.
-            pulled = np.flatnonzero(counts > 0)
-            kept_sub, pruned_sub = prune(means[pulled], unc[pulled], alpha, delta)
-            kept_idx = np.sort(
-                np.concatenate([pulled[kept_sub], np.flatnonzero(counts == 0)])
-            ).astype(int)
-            pruned_idx = [(int(pulled[i]), why) for i, why in pruned_sub]
-            incumbent = int(pulled[np.argmin(means[pulled])])
-            best_mean = means[incumbent]
-
-            # Refinement centers: the grid is allowed to be any subset of the
-            # radius-rho ball, and refining every near-optimal arm grows the
-            # set geometrically (rho shrinks faster than the alpha band), so
-            # resolution is added around the best still-uncertain arm only.
-            active = [
-                int(k)
-                for k in pulled
-                if means[k] <= best_mean + alpha and unc[k] >= delta
-            ]
-            if active:
-                active = [min(active, key=lambda k: (means[k], k))]
-            # prune always retains the incumbent, so kept_params is nonempty
-            kept_params = [params[k] for k in kept_idx]
-            new_entries: list[tuple] = []
-            for k in active:
-                fresh = refine(
-                    [params[k]],
-                    rho,
-                    zoom_cfg.grid_size,
-                    zoom_cfg.bounds,
-                    existing=kept_params + [pp for pp, _ in new_entries],
-                )
-                # The refinement grid only has to be a subset of the radius-
-                # rho ball; points closer than rho/2 to an existing arm add
-                # no resolution and would let the set grow without bound.
-                for pp in fresh:
-                    others = kept_params + [qq for qq, _ in new_entries]
-                    gap = min(
-                        np.abs(np.atleast_1d(pp) - np.atleast_1d(qq)).max()
-                        for qq in others
-                    )
-                    if gap >= 0.5 * rho:
-                        new_entries.append((pp, means[k]))
-
-            median_w = float(np.median(weights[kept_idx]))
-            events.append(
-                ZoomEvent(
-                    t=t,
-                    incumbent_param=params[incumbent],
-                    kept=tuple(kept_params),
-                    pruned=tuple((params[k], why) for k, why in pruned_idx),
-                    added=tuple(pp for pp, _ in new_entries),
-                )
-            )
-
-            params = kept_params + [pp for pp, _ in new_entries]
-            weights = np.concatenate(
-                [weights[kept_idx], np.full(len(new_entries), median_w)]
-            )
-            weights /= weights.max()
-            counts = np.concatenate(
-                [counts[kept_idx], np.zeros(len(new_entries), dtype=int)]
-            )
-            means = np.concatenate(
-                [means[kept_idx], np.array([prior for _, prior in new_entries])]
-            )
-
-    steps = np.arange(1, T + 1)
     return ZoomRunRecord(
         loss_scale=loss_scale,
-        selected_params=selected,
-        probs=probs,
-        losses=losses,
-        running_mean=np.cumsum(losses) / steps,
-        set_sizes=set_sizes,
-        events=tuple(events),
-        final_params=tuple(params),
-        final_mean_losses=means.copy(),
-        final_counts=counts.copy(),
-        final_weights=weights.copy(),
+        selected_params=np.array(
+            [p if np.ndim(p) == 0 else np.nan for p in run.pulled], dtype=float
+        ),
+        probs=run.probs,
+        losses=run.losses,
+        running_mean=run.running_mean,
+        set_sizes=run.set_sizes,
+        events=run.events,
+        final_params=tuple(run.keys),
+        final_mean_losses=run.means,
+        final_counts=run.counts,
+        final_weights=run.weights,
     )

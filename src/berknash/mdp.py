@@ -216,39 +216,12 @@ def state_action_frequencies(m: MDPInstance, pi: np.ndarray) -> np.ndarray:
     return mu[:, None] * np.asarray(pi, dtype=float)
 
 
-def policy_from_frequencies(d: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
-    """Recover a policy from joint frequencies by row normalization.
-
-    Rows with zero marginal take the matching ``fallback`` row (uniform when
-    ``fallback`` is None); those states are never visited, so any choice is
-    consistent.
-    """
-    d = np.asarray(d, dtype=float)
-    S, A = d.shape
-    if fallback is None:
-        fallback = uniform_policy(S, A)
-    marginal = d.sum(axis=1)
-    pi = np.array(fallback, dtype=float, copy=True)
-    pos = marginal > 0.0
-    pi[pos] = d[pos] / marginal[pos, None]
-    return pi
-
-
-def policy_value(
-    m: MDPInstance, pi: np.ndarray, kernel: np.ndarray | None = None
-) -> np.ndarray:
-    """Discounted value of ``pi`` under ``kernel`` (defaults to the true one).
+def policy_value(m: MDPInstance, pi: np.ndarray) -> np.ndarray:
+    """Discounted value of ``pi`` under ``m``'s kernel.
 
     Solves (I - beta K_pi) V = r_pi exactly; K_pi and r_pi are the
     policy-averaged kernel and reward.
     """
-    pi = np.asarray(pi, dtype=float)
-    K = m.kernel if kernel is None else np.asarray(kernel, dtype=float)
-    if pi.shape != (m.num_states, m.num_actions):
-        raise ValueError(
-            f"policy shape {pi.shape} does not match instance "
-            f"({m.num_states}, {m.num_actions})"
-        )
-    Kpi = np.einsum("xa,xay->xy", pi, K)
-    rpi = np.einsum("xa,xa->x", pi, m.rewards)
+    Kpi = induced_kernel(m, pi)
+    rpi = np.einsum("xa,xa->x", np.asarray(pi, dtype=float), m.rewards)
     return scipy.linalg.solve(np.eye(m.num_states) - m.discount * Kpi, rpi)

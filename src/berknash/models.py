@@ -36,11 +36,9 @@ class SubjectiveKernel:
 
 @dataclass(frozen=True)
 class ConjectureSet:
-    """An ordered finite set of conjectured kernels, optionally with a
-    parameter-space box used by the zooming learner."""
+    """An ordered finite set of conjectured kernels."""
 
     members: tuple[SubjectiveKernel, ...]
-    bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -56,9 +54,6 @@ class ConjectureSet:
 
     def __iter__(self):
         return iter(self.members)
-
-    def kernels(self) -> list[np.ndarray]:
-        return [mem.kernel for mem in self.members]
 
     def params(self) -> list:
         return [mem.param for mem in self.members]
@@ -132,7 +127,7 @@ def mixture_kernel(m: MDPInstance, eps: float) -> SubjectiveKernel:
     return SubjectiveKernel(kernel=Q, label=f"eps={eps:g}", param=float(eps))
 
 
-def mixture_family(m: MDPInstance, eps_values, bounds=None) -> ConjectureSet:
+def mixture_family(m: MDPInstance, eps_values) -> ConjectureSet:
     """Finite conjecture set of uniform-noise mixtures at the given weights."""
     members = tuple(mixture_kernel(m, float(e)) for e in eps_values)
-    return ConjectureSet(members=members, bounds=bounds)
+    return ConjectureSet(members=members)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .mdp import MDPInstance, uniform_policy
+from .mdp import MDPInstance, induced_kernel, uniform_policy
 from .simplex import LinearProgram
 
 DEFAULT_VI_TOL = 1e-10
@@ -63,12 +63,17 @@ def greedy_sets(
     return [np.flatnonzero(q[x] >= best[x] - act_tol) for x in range(m.num_states)]
 
 
-def best_response_policy(
-    m: MDPInstance,
-    tie_rule: str = "lowest",
-    vi_tol: float = DEFAULT_VI_TOL,
-    act_tol: float = DEFAULT_ACT_TOL,
-) -> np.ndarray:
+def greedy_policies(sets: list[np.ndarray], num_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two tie-breaks over per-state greedy sets: (lowest-index, uniform)."""
+    lowest = np.zeros((len(sets), num_actions))
+    uniform = np.zeros((len(sets), num_actions))
+    for x, actions in enumerate(sets):
+        lowest[x, actions[0]] = 1.0
+        uniform[x, actions] = 1.0 / actions.size
+    return lowest, uniform
+
+
+def best_response_policy(m: MDPInstance, tie_rule: str = "lowest") -> np.ndarray:
     """Subjectively optimal stationary policy under ``m``'s kernel.
 
     ``tie_rule`` "lowest" picks the smallest greedy action index (the
@@ -76,15 +81,8 @@ def best_response_policy(
     """
     if tie_rule not in ("lowest", "uniform"):
         raise ValueError(f"unknown tie_rule {tie_rule!r}")
-    v = value_iteration(m, vi_tol=vi_tol)
-    sets = greedy_sets(m, v, act_tol=act_tol)
-    pi = np.zeros((m.num_states, m.num_actions))
-    for x, actions in enumerate(sets):
-        if tie_rule == "lowest":
-            pi[x, actions[0]] = 1.0
-        else:
-            pi[x, actions] = 1.0 / actions.size
-    return pi
+    lowest, uniform = greedy_policies(greedy_sets(m, value_iteration(m)), m.num_actions)
+    return lowest if tie_rule == "lowest" else uniform
 
 
 def build_primal_lp(m: MDPInstance) -> LinearProgram:
@@ -139,24 +137,20 @@ def build_dual_lp(m: MDPInstance) -> LinearProgram:
     )
 
 
-def policy_from_occupation(
-    eta: np.ndarray, fallback: np.ndarray | None = None
-) -> np.ndarray:
-    """Policy induced by an occupation measure via row normalization.
+def policy_from_occupation(eta: np.ndarray) -> np.ndarray:
+    """Policy induced by a state-action measure via row normalization.
 
-    States with zero marginal mass take the matching ``fallback`` row
-    (uniform by default).
+    Serves discounted occupation measures and stationary frequencies alike.
+    States with zero marginal mass are never visited, so they take the
+    uniform row.
     """
     eta = np.asarray(eta, dtype=float)
     if np.any(eta < -1e-12):
         x, a = np.argwhere(eta < -1e-12)[0]
         raise ValueError(f"occupation measure negative at (x={x}, a={a}): {eta[x, a]:.3g}")
     eta = np.maximum(eta, 0.0)
-    S, A = eta.shape
-    if fallback is None:
-        fallback = uniform_policy(S, A)
     marginal = eta.sum(axis=1)
-    pi = np.array(fallback, dtype=float, copy=True)
+    pi = uniform_policy(*eta.shape)
     pos = marginal > 0.0
     pi[pos] = eta[pos] / marginal[pos, None]
     return pi
@@ -169,9 +163,8 @@ def occupation_of_policy(m: MDPInstance, pi: np.ndarray) -> np.ndarray:
     state's mass across actions by the policy; the result is feasible for
     the dual LP by construction.
     """
-    pi = np.asarray(pi, dtype=float)
-    Qpi = np.einsum("xa,xay->xy", pi, m.kernel)
+    Qpi = induced_kernel(m, pi)
     h = scipy.linalg.solve(
         np.eye(m.num_states) - m.discount * Qpi.T, m.initial_dist
     )
-    return pi * h[:, None]
+    return np.asarray(pi, dtype=float) * h[:, None]

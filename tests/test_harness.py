@@ -217,6 +217,27 @@ class TestRunExperiment:
         events = read_csv(artifacts.csv_paths["zoom_events"])
         assert len(events) == 4
 
+    def test_tabular_kernels_case_study(self, tmp_path):
+        m, _ = benchmark3()
+        uniform = np.full(m.kernel.shape, 1.0 / m.num_states)
+        cfg = self._cfg(tmp_path, "case-study", {
+            "bandit": {"horizon": 200},
+            "conjectures": {"kernels": [
+                {"kernel": m.kernel.tolist(), "label": "truth"},
+                {"kernel": uniform.tolist(), "label": "uniform"},
+            ]},
+        })
+        artifacts = run_experiment(cfg)
+        freq = read_csv(artifacts.csv_paths["frequencies"])
+        assert [r["label"] for r in freq] == ["truth", "uniform"]
+        assert all(r["param"] == "" for r in freq)
+        counts = [int(r["count"]) for r in freq]
+        assert sum(counts) == 200
+        assert float(freq[0]["oracle_loss"]) == 0.0
+        assert counts[0] == max(counts)
+        trace = read_csv(artifacts.csv_paths["loss_trace"])
+        assert all(r["param"] == "" for r in trace)
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "forced"
         monkeypatch.setenv("BERKNASH_OUTPUT_DIR", str(override))
@@ -267,11 +288,30 @@ class TestCLI:
         assert cli_main(["audit-duality", str(cfg_path)]) == 0
         assert "max dual gap" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{not json", "line 1"),
+            (json.dumps({"experiment": "case-study",
+                         "conjectures": {"kernels": [{"kernel": [[[1.0]]]}]}}),
+             "conjectures.kernels[0]"),
+            (json.dumps({"experiment": "case-study", "conjectures": {"kernels": 5}}),
+             "conjectures.kernels"),
+            (json.dumps({"experiment": "zooming", "zoom": {"bounds": 5}}), "zoom.bounds"),
+            (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"points": "x"}}),
+             "lambda_grid.points"),
+            (json.dumps({"experiment": "case-study", "seed": True}), "seed"),
+        ],
+        ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
+             "lambda-points", "bool-seed"],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, text, field):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert field in err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ from berknash import (
     ReducibleChainError,
     deterministic_policy,
     induced_kernel,
-    policy_from_frequencies,
+    policy_from_occupation,
     policy_value,
     state_action_frequencies,
     stationary_distribution,
@@ -170,11 +170,11 @@ class TestStateActionFrequencies:
         m = random_instance(rng, num_states=4, num_actions=3)
         pi = random_policy(rng, 4, 3)
         d = state_action_frequencies(m, pi)
-        np.testing.assert_allclose(policy_from_frequencies(d), pi, atol=1e-12)
+        np.testing.assert_allclose(policy_from_occupation(d), pi, atol=1e-12)
 
     def test_zero_marginal_rows_take_fallback(self):
         d = np.array([[0.6, 0.4], [0.0, 0.0]])
-        pi = policy_from_frequencies(d)
+        pi = policy_from_occupation(d)
         np.testing.assert_allclose(pi, [[0.6, 0.4], [0.5, 0.5]])
 
 
@@ -211,14 +211,6 @@ class TestPolicyValue:
             rpi = (pi * m.rewards).sum(axis=1)
             residual = (np.eye(4) - m.discount * Kpi) @ v - rpi
             assert np.abs(residual).max() <= 1e-10
-
-    def test_subjective_kernel_override(self):
-        m = two_state_instance()
-        other = np.array([[[0.1, 0.9], [0.2, 0.8]], [[0.7, 0.3], [0.4, 0.6]]])
-        pi = uniform_policy(2, 2)
-        v = policy_value(m, pi, kernel=other)
-        v_direct = policy_value(m.with_kernel(other), pi)
-        np.testing.assert_allclose(v, v_direct, atol=1e-14)
 
 
 def test_validate_policy_catches_bad_rows():
