@@ -66,12 +66,7 @@ def _cmd_benchmark3(args) -> int:
 def _cmd_audit_duality(args) -> int:
     cfg = load_config(args.config)
     audit_dir = cfg.output_dir.with_name(cfg.output_dir.name + "-duality")
-    cfg = replace(
-        cfg,
-        kind="duality-audit",
-        output_dir=audit_dir,
-        raw={**cfg.raw, "experiment": "duality-audit", "output_dir": str(audit_dir)},
-    )
+    cfg = replace(cfg, kind="duality-audit", output_dir=audit_dir)
     artifacts = run_experiment(cfg)
     path = artifacts.csv_paths["duality"]
     print(f"duality audit written to {path}")

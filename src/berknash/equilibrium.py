@@ -50,30 +50,32 @@ class FeasibilityReport:
 
 
 @dataclass(frozen=True)
-class EquilibriumEntry:
+class CandidateDiagnostic:
+    """One candidate best response and its verdict. ``feasibility`` holds the
+    re-check that decides acceptance, run only if the candidate is KL-minimal;
+    ``divergence_vector`` is None if its true chain is reducible."""
+
     model_index: int
     label: str
     policy_kind: str
     policy: np.ndarray
-    divergence: float
-    divergence_vector: np.ndarray
-    feasibility: FeasibilityReport
-
-
-@dataclass(frozen=True)
-class CandidateDiagnostic:
-    model_index: int
-    label: str
-    policy_kind: str
-    accepted: bool
     reason: str
     divergence_vector: np.ndarray | None
     tie_states: int
+    feasibility: FeasibilityReport | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.feasibility is not None and self.feasibility.passed
+
+    @property
+    def divergence(self) -> float:
+        return float(self.divergence_vector[self.model_index])
 
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Accepted equilibria plus one diagnostic row per candidate tested.
+    """One diagnostic row per candidate tested; the accepted ones are the equilibria.
 
     ``tie_states`` > 0 on a hard-mode diagnostic flags states whose greedy
     set was not a singleton: only deterministic and uniform tie-breaks are
@@ -83,8 +85,11 @@ class EquilibriumReport:
 
     mode: str
     temperature: float | None
-    equilibria: tuple[EquilibriumEntry, ...]
     diagnostics: tuple[CandidateDiagnostic, ...]
+
+    @property
+    def equilibria(self) -> tuple[CandidateDiagnostic, ...]:
+        return tuple(d for d in self.diagnostics if d.accepted)
 
 
 def check_joint_feasibility(
@@ -127,13 +132,10 @@ def check_joint_feasibility(
 
     # (iii) one policy governs both flows (checked on positive marginals only)
     policy_res = 0.0
-    eta_marg = eta.sum(axis=1)
-    d_marg = d.sum(axis=1)
-    for x in range(S):
-        if eta_marg[x] > tol:
-            policy_res = max(policy_res, np.abs(pi[x] - eta[x] / eta_marg[x]).max())
-        if d_marg[x] > tol:
-            policy_res = max(policy_res, np.abs(pi[x] - d[x] / d_marg[x]).max())
+    for mass in (eta, d):
+        marg = mass.sum(axis=1)
+        on = marg > tol
+        policy_res = max(policy_res, np.abs(pi[on] - mass[on] / marg[on, None]).max(initial=0.0))
     residuals[GROUP_POLICY_CONSISTENCY] = float(policy_res)
 
     # (iv) k attains the minimal frequency-weighted KL cost
@@ -177,7 +179,6 @@ def enumerate_equilibria(
         raise ValueError("soft mode requires a temperature")
 
     costs = [kl_cost_table(m, q) for q in cs]
-    equilibria: list[EquilibriumEntry] = []
     diagnostics: list[CandidateDiagnostic] = []
 
     for k, member in enumerate(cs):
@@ -189,75 +190,28 @@ def enumerate_equilibria(
             candidates = [("softmax", pi, 0)]
 
         for policy_kind, pi, tie_states in candidates:
+            divs = feas = None
             try:
                 d = state_action_frequencies(m, pi)
             except ReducibleChainError as err:
-                diagnostics.append(
-                    CandidateDiagnostic(
-                        model_index=k,
-                        label=member.label,
-                        policy_kind=policy_kind,
-                        accepted=False,
-                        reason=f"skipped: {err}",
-                        divergence_vector=None,
-                        tie_states=tie_states,
-                    )
-                )
-                continue
-            divs = np.array([long_run_divergence(d, c) for c in costs])
-            if divs[k] > divs.min() + tol:
-                diagnostics.append(
-                    CandidateDiagnostic(
-                        model_index=k,
-                        label=member.label,
-                        policy_kind=policy_kind,
-                        accepted=False,
-                        reason=(
-                            f"not KL-minimal: D_k={divs[k]:.6g} vs min {divs.min():.6g}"
-                        ),
-                        divergence_vector=divs,
-                        tie_states=tie_states,
-                    )
-                )
-                continue
-            eta = occupation_of_policy(m_k, pi)
-            cand = JointCandidate(
-                model_index=k, occupation=eta, frequencies=d, policy=pi
-            )
-            feas = check_joint_feasibility(m, cs, cand, tol=tol)
-            if feas.passed:
-                equilibria.append(
-                    EquilibriumEntry(
-                        model_index=k,
-                        label=member.label,
-                        policy_kind=policy_kind,
-                        policy=pi,
-                        divergence=float(divs[k]),
-                        divergence_vector=divs,
-                        feasibility=feas,
-                    )
-                )
-                reason = "equilibrium"
+                reason = f"skipped: {err}"
             else:
-                reason = f"feasibility re-check failed: {', '.join(feas.failed_groups)}"
-            diagnostics.append(
-                CandidateDiagnostic(
-                    model_index=k,
-                    label=member.label,
-                    policy_kind=policy_kind,
-                    accepted=feas.passed,
-                    reason=reason,
-                    divergence_vector=divs,
-                    tie_states=tie_states,
-                )
-            )
+                divs = np.array([long_run_divergence(d, c) for c in costs])
+                if divs[k] > divs.min() + tol:
+                    reason = f"not KL-minimal: D_k={divs[k]:.6g} vs min {divs.min():.6g}"
+                else:
+                    cand = JointCandidate(k, occupation_of_policy(m_k, pi), d, pi)
+                    feas = check_joint_feasibility(m, cs, cand, tol=tol)
+                    reason = (
+                        "equilibrium" if feas.passed else
+                        f"feasibility re-check failed: {', '.join(feas.failed_groups)}"
+                    )
+            diagnostics.append(CandidateDiagnostic(
+                model_index=k, label=member.label, policy_kind=policy_kind, policy=pi,
+                reason=reason, divergence_vector=divs, tie_states=tie_states, feasibility=feas,
+            ))
 
-    return EquilibriumReport(
-        mode=mode,
-        temperature=temperature,
-        equilibria=tuple(equilibria),
-        diagnostics=tuple(diagnostics),
-    )
+    return EquilibriumReport(mode=mode, temperature=temperature, diagnostics=tuple(diagnostics))
 
 
 def bilevel_objective(

@@ -12,7 +12,8 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,9 @@ EXPERIMENT_KINDS = (
 )
 
 BENCHMARK_EPSILONS = (0.05, 0.15, 0.30, 0.45)
+
+# feasibility groups whose residuals fill the last columns of equilibria.csv
+RESIDUAL_GROUPS = ("subjective_flow", "true_frequency", "policy_consistency", "kl_minimality")
 
 
 class ConfigError(ValueError):
@@ -86,13 +90,43 @@ def benchmark3() -> tuple[MDPInstance, ConjectureSet]:
 
 @dataclass(frozen=True)
 class LambdaGridConfig:
-    lo: float = 1e-4
-    hi: float = 1e4
+    """Log-spaced temperatures of the lambda sweep, planned under one model."""
+
+    min: float = 1e-4
+    max: float = 1e4
     points: int = 33
     model_index: int = 0
 
+    def __post_init__(self):
+        if self.points < 2 or self.min <= 0 or self.max <= self.min:
+            raise ValueError("need points >= 2 and 0 < min < max")
+
     def values(self) -> np.ndarray:
-        return np.logspace(np.log10(self.lo), np.log10(self.hi), self.points)
+        return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
+
+
+@dataclass(frozen=True)
+class EquilibriumConfig:
+    """Enumeration modes of the equilibrium report and its feasibility tolerance."""
+
+    mode: str = "both"
+    tol: float = 1e-7
+
+    def __post_init__(self):
+        if self.mode not in ("hard", "soft", "both"):
+            raise ValueError(f"mode must be hard, soft, or both, got {self.mode!r}")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+
+
+# Config sections, each parsed into its dataclass by _build.
+SECTIONS = {"soft": SoftPlanConfig, "bandit": BanditConfig, "zoom": ZoomConfig,
+            "lambda_grid": LambdaGridConfig, "equilibrium": EquilibriumConfig}
+
+
+def _config_fields(cls) -> list[str]:
+    """A section's config keys: its fields, less ``rng_seed`` (set by ``seed`` alone)."""
+    return [f.name for f in fields(cls) if f.name != "rng_seed"]
 
 
 @dataclass(frozen=True)
@@ -103,13 +137,23 @@ class ExperimentConfig:
     soft: SoftPlanConfig
     bandit: BanditConfig
     zoom: ZoomConfig
-    zoom_initial_grid: int
     lambda_grid: LambdaGridConfig
-    equilibrium_mode: str
-    equilibrium_tol: float
+    equilibrium: EquilibriumConfig
     output_dir: Path
     seed: int
-    raw: dict
+    specs: dict  # the "mdp" and "conjectures" entries as given
+
+    @property
+    def resolved(self) -> dict:
+        """The config with its defaults filled in, as echoed into the manifest;
+        it reloads through :func:`config_from_dict` to an equal config."""
+        out = {"experiment": self.kind, "seed": self.seed,
+               "output_dir": str(self.output_dir), **self.specs}
+        for name, cls in SECTIONS.items():
+            section = {key: getattr(getattr(self, name), key) for key in _config_fields(cls)}
+            # tuples (zoom.bounds) are echoed as the JSON lists they were read from
+            out[name] = {k: list(v) if isinstance(v, tuple) else v for k, v in section.items()}
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,26 +163,48 @@ class RunArtifacts:
     csv_paths: dict[str, Path]
 
 
-def _section(data: dict, name: str) -> dict:
-    sub = data.get(name, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{name}: expected an object, got {type(sub).__name__}")
-    return sub
+_KINDS = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
 
 
-def _number(value, field: str, integer: bool = False):
-    """``value`` itself, if it is an integer (any real number unless ``integer``)."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
+def _typed(value, annotation, field: str):
+    """``value``, checked against a field annotation (a JSON list becomes a tuple)."""
+    args = typing.get_args(annotation)
+    if type(None) in args:  # ``X | None``
+        if value is None:
+            return None
+        annotation = args[0]
+    if typing.get_origin(annotation) is tuple:
+        items = typing.get_args(annotation)
+        if not isinstance(value, (list, tuple)) or len(value) != len(items):
+            raise ConfigError(f"{field}: expected a list of {len(items)} values, got {value!r}")
+        return tuple(_typed(v, a, field) for v, a in zip(value, items))
+    kind, types = _KINDS[annotation]
+    # bool is an int subclass, but true/false is never a number here
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{field}: expected {kind}, got {value!r}")
     return value
 
 
-def _build(section_name: str, cls, kwargs: dict):
+def _build(data: dict, name: str, **preset):
+    """Config section ``name`` as its dataclass, its keys laid over ``preset``.
+
+    Unknown keys are rejected and every value is checked against its field's
+    annotation; range checks are the dataclass's own.
+    """
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
+    cls = SECTIONS[name]
+    unknown = set(section) - set(_config_fields(cls))
+    if unknown:
+        raise ConfigError(f"unknown fields: {', '.join(f'{name}.{k}' for k in sorted(unknown))}")
+    hints = typing.get_type_hints(cls)
+    for key, value in section.items():
+        preset[key] = _typed(value, hints[key], f"{name}.{key}")
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{section_name}: {err}") from None
+        return cls(**preset)
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from None
 
 
 def _instance_from_spec(spec) -> MDPInstance:
@@ -163,8 +229,6 @@ def _instance_from_spec(spec) -> MDPInstance:
 
 
 def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
-    if spec is None:
-        return mixture_family(m, BENCHMARK_EPSILONS)
     if not isinstance(spec, dict):
         raise ConfigError("conjectures: expected an object")
     if "epsilons" in spec:
@@ -201,8 +265,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a parsed config and fill defaults (echoed into the manifest)."""
     if not isinstance(data, dict):
         raise ConfigError(f"top level: expected an object, got {type(data).__name__}")
-    known = {"experiment", "seed", "output_dir", "mdp", "conjectures", "soft",
-             "bandit", "zoom", "lambda_grid", "equilibrium"}
+    known = {"experiment", "seed", "output_dir", "mdp", "conjectures", *SECTIONS}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown top-level fields: {sorted(unknown)}")
@@ -211,91 +274,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"experiment: must be one of {EXPERIMENT_KINDS}, got {kind!r}"
         )
-    seed = _number(data.get("seed", 11), "seed", integer=True)
+    seed = _typed(data.get("seed", 11), int, "seed")
 
-    instance = _instance_from_spec(data.get("mdp", "benchmark3"))
-    conjectures = _conjectures_from_spec(data.get("conjectures"), instance)
-
-    soft_kwargs = {"temperature": 0.1, **_section(data, "soft")}
-    soft = _build("soft", SoftPlanConfig, soft_kwargs)
-
-    bandit_kwargs = dict(_section(data, "bandit"))
-    bandit_kwargs["rng_seed"] = seed
-    bandit = _build("bandit", BanditConfig, bandit_kwargs)
-
-    zoom_section = dict(_section(data, "zoom"))
-    initial_grid = zoom_section.pop("initial_grid", 6)
-    if _number(initial_grid, "zoom.initial_grid", integer=True) < 1:
-        raise ConfigError(f"zoom.initial_grid: expected a positive integer, got {initial_grid!r}")
-    bounds = zoom_section.get("bounds", [0.0, 0.5])
-    if not isinstance(bounds, list) or len(bounds) != 2:
-        raise ConfigError(f"zoom.bounds: expected a [lo, hi] pair, got {bounds!r}")
-    zoom_section["bounds"] = tuple(_number(b, "zoom.bounds") for b in bounds)
-    zoom = _build("zoom", ZoomConfig, zoom_section)
-
-    grid_section = _section(data, "lambda_grid")
-    lam_grid = LambdaGridConfig(
-        lo=_number(grid_section.get("min", 1e-4), "lambda_grid.min"),
-        hi=_number(grid_section.get("max", 1e4), "lambda_grid.max"),
-        points=_number(grid_section.get("points", 33), "lambda_grid.points", integer=True),
-        model_index=_number(grid_section.get("model_index", 0), "lambda_grid.model_index",
-                            integer=True),
-    )
-    if not (0 <= lam_grid.model_index < len(conjectures)):
-        raise ConfigError("lambda_grid.model_index: out of range for conjecture set")
-    if lam_grid.points < 2 or lam_grid.lo <= 0 or lam_grid.hi <= lam_grid.lo:
-        raise ConfigError("lambda_grid: need points >= 2 and 0 < min < max")
-
-    eq_section = _section(data, "equilibrium")
-    eq_mode = eq_section.get("mode", "both")
-    if eq_mode not in ("hard", "soft", "both"):
-        raise ConfigError(f"equilibrium.mode: must be hard, soft, or both, got {eq_mode!r}")
-    eq_tol = float(eq_section.get("tol", 1e-7))
-    if eq_tol <= 0:
-        raise ConfigError(f"equilibrium.tol: must be positive, got {eq_tol}")
-
-    output_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or data.get("output_dir", f"runs/{kind}"))
-
-    resolved = {
-        "experiment": kind,
-        "seed": seed,
-        "output_dir": str(output_dir),
+    specs = {
         "mdp": data.get("mdp", "benchmark3"),
         "conjectures": data.get("conjectures", {"epsilons": list(BENCHMARK_EPSILONS)}),
-        "soft": soft_kwargs,
-        "bandit": {
-            "learning_rate": bandit.learning_rate,
-            "exploration": bandit.exploration,
-            "horizon": bandit.horizon,
-            "loss_estimator": bandit.loss_estimator,
-            "rollout_horizon": bandit.rollout_horizon,
-            "rollout_smoothing": bandit.rollout_smoothing,
-            "loss_scale": bandit.loss_scale,
-        },
-        "zoom": {**zoom_section, "bounds": list(zoom_section["bounds"]), "initial_grid": initial_grid},
-        "lambda_grid": {
-            "min": lam_grid.lo,
-            "max": lam_grid.hi,
-            "points": lam_grid.points,
-            "model_index": lam_grid.model_index,
-        },
-        "equilibrium": {"mode": eq_mode, "tol": eq_tol},
     }
+    instance = _instance_from_spec(specs["mdp"])
+    conjectures = _conjectures_from_spec(specs["conjectures"], instance)
 
+    presets = {"soft": {"temperature": 0.1}, "bandit": {"rng_seed": seed}}
+    sections = {name: _build(data, name, **presets.get(name, {})) for name in SECTIONS}
+    if not (0 <= sections["lambda_grid"].model_index < len(conjectures)):
+        raise ConfigError("lambda_grid.model_index: out of range for conjecture set")
+
+    output_dir = _typed(data.get("output_dir", f"runs/{kind}"), str, "output_dir")
     return ExperimentConfig(
         kind=kind,
         instance=instance,
         conjectures=conjectures,
-        soft=soft,
-        bandit=bandit,
-        zoom=zoom,
-        zoom_initial_grid=initial_grid,
-        lambda_grid=lam_grid,
-        equilibrium_mode=eq_mode,
-        equilibrium_tol=eq_tol,
-        output_dir=output_dir,
+        output_dir=Path(os.environ.get(ENV_OUTPUT_DIR) or output_dir),
         seed=seed,
-        raw=resolved,
+        specs=specs,
+        **sections,
     )
 
 
@@ -399,7 +400,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     manifest = {
         "experiment": cfg.kind,
         "seed": cfg.seed,
-        "config": cfg.raw,
+        "config": cfg.resolved,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -485,7 +486,7 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
 
 def _run_zooming(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
     lo, hi = cfg.zoom.bounds
-    initial = np.linspace(lo, hi, cfg.zoom_initial_grid)
+    initial = np.linspace(lo, hi, cfg.zoom.initial_grid)
     record = run_zoom_exp3(
         cfg.instance,
         lambda eps: mixture_kernel(cfg.instance, float(eps)),
@@ -557,7 +558,8 @@ def _run_zooming(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
 
 
 def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
-    modes = ("hard", "soft") if cfg.equilibrium_mode == "both" else (cfg.equilibrium_mode,)
+    eq = cfg.equilibrium
+    modes = ("hard", "soft") if eq.mode == "both" else (eq.mode,)
     K = len(cfg.conjectures)
     rows = []
     summary_lines = []
@@ -567,19 +569,12 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
             cfg.conjectures,
             mode=mode,
             temperature=cfg.soft.temperature if mode == "soft" else None,
-            tol=cfg.equilibrium_tol,
+            tol=eq.tol,
         )
-        residuals_by_key = {
-            (e.model_index, e.policy_kind): e.feasibility.residuals
-            for e in report.equilibria
-        }
         for diag in report.diagnostics:
-            res = residuals_by_key.get((diag.model_index, diag.policy_kind), {})
-            divs = (
-                ["" for _ in range(K)]
-                if diag.divergence_vector is None
-                else list(diag.divergence_vector)
-            )
+            # residual columns stay blank unless the candidate was accepted
+            res = diag.feasibility.residuals if diag.accepted else {}
+            divs = [""] * K if diag.divergence_vector is None else list(diag.divergence_vector)
             rows.append(
                 [
                     mode,
@@ -591,12 +586,7 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
                     diag.reason,
                 ]
                 + divs
-                + [
-                    res.get("subjective_flow", ""),
-                    res.get("true_frequency", ""),
-                    res.get("policy_consistency", ""),
-                    res.get("kl_minimality", ""),
-                ]
+                + [res.get(group, "") for group in RESIDUAL_GROUPS]
             )
         summary_lines.append(f"mode={mode}: {len(report.equilibria)} equilibrium(ia)")
         for e in report.equilibria:
@@ -615,8 +605,7 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
         eq_path,
         ["mode", "model_index", "label", "policy_kind", "accepted", "tie_states", "reason"]
         + [f"divergence_{k}" for k in range(K)]
-        + ["res_subjective_flow", "res_true_frequency", "res_policy_consistency",
-           "res_kl_minimality"],
+        + [f"res_{group}" for group in RESIDUAL_GROUPS],
         rows,
     )
     summary_path = out / "summary.txt"
@@ -629,19 +618,15 @@ def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
     for k, member in enumerate(cfg.conjectures):
         m_k = cfg.instance.with_kernel(member.kernel)
         v = value_iteration(m_k)
-        primal = simplex_solve(build_primal_lp(m_k))
+        lp = build_primal_lp(m_k)
+        primal = simplex_solve(lp)
         dual = simplex_solve(build_dual_lp(m_k))
         eta = dual.x.reshape(cfg.instance.num_states, cfg.instance.num_actions)
 
         # complementary slackness: positive occupation mass must sit on
-        # tight primal rows
-        lp = build_primal_lp(m_k)
+        # tight primal rows (one row per (x, a), x-major like eta)
         slack = lp.constraints @ primal.x - lp.rhs
-        slackness = 0.0
-        for x in range(cfg.instance.num_states):
-            for a in range(cfg.instance.num_actions):
-                if eta[x, a] > 1e-8:
-                    slackness = max(slackness, abs(slack[x * cfg.instance.num_actions + a]))
+        slackness = np.abs(slack[eta.ravel() > 1e-8]).max(initial=0.0)
 
         greedy = greedy_sets(m_k, v)
         pi = policy_from_occupation(eta)

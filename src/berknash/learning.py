@@ -171,18 +171,10 @@ def rollout_loss(
         x = y
 
     visits = counts.sum(axis=2)
-    total = visits.sum()
     p_hat = (counts + alpha) / (visits + S * alpha)[:, :, None]
-
-    div = 0.0
-    for x in range(S):
-        for a in range(A):
-            if visits[x, a] == 0.0:
-                continue
-            q_row = q.kernel[x, a]
-            if np.any(q_row <= 0.0):
-                q_row = (q_row + alpha) / (1.0 + S * alpha)
-            div += (visits[x, a] / total) * kl_divergence(p_hat[x, a], q_row)
+    Q = q.kernel
+    Q = np.where(np.any(Q <= 0.0, axis=2, keepdims=True), (Q + alpha) / (1.0 + S * alpha), Q)
+    div = float(np.sum(visits / visits.sum() * kl_divergence(p_hat, Q)))
     return min(max(div, 0.0), loss_scale) / loss_scale
 
 
@@ -285,7 +277,8 @@ class ZoomConfig:
 
     At round t the epoch index is floor(t / zoom_interval), and e.g.
     alpha_t = alpha0 * alpha_decay**epoch. Decays in (0, 1] keep every
-    schedule positive and non-increasing.
+    schedule positive and non-increasing. ``initial_grid`` is the number of
+    evenly spaced parameters over ``bounds`` that a zooming run starts from.
     """
 
     zoom_interval: int = 100
@@ -298,6 +291,7 @@ class ZoomConfig:
     grid_size: int = 3
     uncertainty_scale: float = 1.0
     bounds: tuple[float, float] = (0.0, 0.5)
+    initial_grid: int = 6
 
     def __post_init__(self):
         if self.zoom_interval < 1:
@@ -310,6 +304,8 @@ class ZoomConfig:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
         if self.grid_size < 2:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
+        if self.initial_grid < 1:
+            raise ValueError(f"initial_grid must be >= 1, got {self.initial_grid}")
         lo, hi = self.bounds
         if not np.all(np.asarray(lo) < np.asarray(hi)):
             raise ValueError(f"bounds must satisfy lo < hi, got {self.bounds}")

@@ -59,40 +59,38 @@ class ConjectureSet:
         return [mem.param for mem in self.members]
 
 
-def kl_divergence(nu: np.ndarray, mu: np.ndarray) -> float:
-    """KL divergence sum nu(i) log(nu(i)/mu(i)); terms with nu(i)=0 contribute 0.
+def kl_divergence(nu: np.ndarray, mu: np.ndarray) -> float | np.ndarray:
+    """KL divergence sum nu(i) log(nu(i)/mu(i)) along the last axis; terms
+    with nu(i)=0 contribute 0. A vector gives a float, a stack of rows an
+    array with one value per row.
 
     Requires nu << mu; raises naming the first coordinate where absolute
-    continuity fails.
+    continuity fails, after the row as (x=..., a=...) for stacks.
     """
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
     support = nu > 0.0
-    if np.any(mu[support] <= 0.0):
-        i = int(np.flatnonzero(support & (mu <= 0.0))[0])
+    bad = np.argwhere(support & (mu <= 0.0))
+    if bad.size:
+        idx = tuple(bad[0])
+        where = ", ".join(f"{name}={j}" for name, j in zip("xa", idx[:-1]))
         raise ValueError(
-            f"absolute continuity violated at coordinate {i}: "
-            f"nu={nu[i]:.6g} but mu={mu[i]:.6g}"
+            (f"at ({where}): " if where else "")
+            + f"absolute continuity violated at coordinate {idx[-1]}: "
+            f"nu={nu[idx]:.6g} but mu={mu[idx]:.6g}"
         )
-    ns = nu[support]
-    val = float(np.sum(ns * np.log(ns / mu[support])))
+    terms = np.zeros(nu.shape)
+    terms[support] = nu[support] * np.log(nu[support] / mu[support])
     # Gibbs' inequality: any negative result is rounding noise (ulp-scale,
     # from nearly identical rows), so it is clamped rather than returned.
-    return max(0.0, val)
+    val = np.maximum(0.0, terms.sum(axis=-1))
+    return float(val) if val.ndim == 0 else val
 
 
 def kl_cost_table(m: MDPInstance, q: SubjectiveKernel | np.ndarray) -> np.ndarray:
     """Per-(x,a) KL cost of conjecturing ``q`` when the truth is ``m.kernel``."""
     Q = q.kernel if isinstance(q, SubjectiveKernel) else np.asarray(q, dtype=float)
-    S, A = m.num_states, m.num_actions
-    c = np.empty((S, A))
-    for x in range(S):
-        for a in range(A):
-            try:
-                c[x, a] = kl_divergence(m.kernel[x, a], Q[x, a])
-            except ValueError as err:
-                raise ValueError(f"at (x={x}, a={a}): {err}") from None
-    return c
+    return kl_divergence(m.kernel, Q)
 
 
 def long_run_divergence(d: np.ndarray, c: np.ndarray) -> float:

@@ -111,21 +111,22 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(T: np.ndarray, basis: np.ndarray, allowed: int, ray_map) -> int:
+def _bland_iterate(T: np.ndarray, basis: np.ndarray, allowed: int, ray_map=None) -> int:
     """Run Bland-rule pivots until optimal; return iteration count.
 
     T[-1, :-1] holds the reduced costs and T[-1, -1] minus the current
     objective value. Only columns < ``allowed`` may enter the basis, which
-    keeps phase-1 artificials out of phase 2.
+    keeps phase-1 artificials out of phase 2. Phase 1 passes no ``ray_map``.
     """
     m = T.shape[0] - 1
     iterations = 0
     max_iters = 200 * (T.shape[0] + T.shape[1]) + 10_000
+    skipped: set[int] = set()
     while True:
         red = T[-1, :allowed]
         entering = -1
         for j in range(allowed):
-            if red[j] < -OPT_TOL:
+            if red[j] < -OPT_TOL and j not in skipped:
                 entering = j
                 break
         if entering < 0:
@@ -149,8 +150,14 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, allowed: int, ray_map) -> i
                 best = ratios[i]
                 leave = i
         if leave < 0:
-            raise UnboundedLPError(ray_map(entering))
+            if ray_map is not None:
+                raise UnboundedLPError(ray_map(entering))
+            # Phase 1's objective (artificial mass) is bounded below by 0, so
+            # an improving column with no positive entry is drift: skip it.
+            skipped.add(entering)
+            continue
         _pivot(T, basis, leave, entering)
+        skipped.clear()
         iterations += 1
         if iterations > max_iters:
             raise RuntimeError("simplex failed to terminate (pivot cap reached)")
@@ -223,7 +230,7 @@ def simplex_solve(lp: LinearProgram, feas_tol: float = OPT_TOL) -> SimplexSoluti
     cost1 = np.zeros(n_std + m)
     cost1[n_std:] = 1.0
     _objective_row(T, basis, cost1)
-    iters = _bland_iterate(T, basis, allowed=n_std, ray_map=ray_map)
+    iters = _bland_iterate(T, basis, allowed=n_std)
 
     phase1_obj = -T[-1, -1]
     if phase1_obj > feas_tol * max(1.0, np.abs(b_std).max()):

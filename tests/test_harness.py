@@ -238,6 +238,22 @@ class TestRunExperiment:
         trace = read_csv(artifacts.csv_paths["loss_trace"])
         assert all(r["param"] == "" for r in trace)
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("case-study", {"bandit": {"horizon": 50, "learning_rate": 0.25}}),
+        ("lambda-sweep", {"lambda_grid": {"points": 3, "max": 10.0}}),
+        ("zooming", {"bandit": {"horizon": 60}, "zoom": {"zoom_interval": 20}}),
+        ("equilibrium-report", {"equilibrium": {"mode": "hard", "tol": 1e-8}}),
+        ("duality-audit", {"soft": {"temperature": 0.5}}),
+    ], ids=["case-study", "lambda-sweep", "zooming", "equilibrium-report", "duality-audit"])
+    def test_manifest_config_reloads_to_equal_config(self, tmp_path, kind, extra):
+        cfg = self._cfg(tmp_path, kind, extra)
+        echo = json.loads(run_experiment(cfg).manifest_path.read_text())["config"]
+        again = config_from_dict(echo)
+        assert again.resolved == echo
+        for name in ("kind", "seed", "output_dir", "soft", "bandit", "zoom",
+                     "lambda_grid", "equilibrium"):
+            assert getattr(again, name) == getattr(cfg, name)
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "forced"
         monkeypatch.setenv("BERKNASH_OUTPUT_DIR", str(override))
@@ -301,11 +317,45 @@ class TestCLI:
             (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"points": "x"}}),
              "lambda_grid.points"),
             (json.dumps({"experiment": "case-study", "seed": True}), "seed"),
+            (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"pointz": 3}}),
+             "lambda_grid.pointz"),
+            (json.dumps({"experiment": "equilibrium-report",
+                         "equilibrium": {"mdoe": "hard"}}), "equilibrium.mdoe"),
+            (json.dumps({"experiment": "equilibrium-report", "equilibrium": {"tol": "x"}}),
+             "equilibrium.tol"),
+            (json.dumps({"experiment": "duality-audit", "output_dir": 5}), "output_dir"),
+            (json.dumps({"experiment": "case-study", "bandit": {"horizon": 2.5}}),
+             "bandit.horizon"),
+            (json.dumps({"experiment": "case-study", "bandit": {"rollout_horizon": 100.5}}),
+             "bandit.rollout_horizon"),
+            (json.dumps({"experiment": "zooming", "zoom": {"grid_size": 2.5}}),
+             "zoom.grid_size"),
+            (json.dumps({"experiment": "case-study", "soft": {"max_iters": 1e6}}),
+             "soft.max_iters"),
+            (json.dumps({"experiment": "case-study", "bandit": {"horizon": True}}),
+             "bandit.horizon"),
+            (json.dumps({"experiment": "equilibrium-report", "equilibrium": {"tol": True}}),
+             "equilibrium.tol"),
+            (json.dumps({"experiment": "zooming", "zoom": {"zoom_interval": 10.5}}),
+             "zoom.zoom_interval"),
+            (json.dumps({"experiment": "case-study", "bandit": {"rng_seed": 3}}),
+             "bandit.rng_seed"),
+            (json.dumps({"experiment": "case-study", "bandit": {"learning_rate": "fast"}}),
+             "bandit.learning_rate"),
+            (json.dumps({"experiment": "zooming", "zoom": {"initial_grid": 2.0}}),
+             "zoom.initial_grid"),
+            (json.dumps({"experiment": "case-study", "soft": [1]}), "soft"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
-             "lambda-points", "bool-seed"],
+             "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
+             "equilibrium-tol-str", "output-dir-int", "horizon-float",
+             "rollout-horizon-float", "grid-size-float", "max-iters-float",
+             "horizon-bool", "equilibrium-tol-bool", "zoom-interval-float",
+             "bandit-rng-seed", "learning-rate-str", "initial-grid-float",
+             "soft-not-object"],
     )
-    def test_config_error_exit_code(self, tmp_path, capsys, text, field):
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
+        monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 2

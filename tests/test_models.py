@@ -31,10 +31,23 @@ class TestKLDivergence:
         expected = 0.8 * math.log(1.6) + 0.2 * math.log(0.4)
         assert kl_divergence([0.8, 0.2], [0.5, 0.5]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.19274, abs=5e-6)
+        # a stack of rows gives one value per row, each the row's own value
+        nu = np.array([[[0.8, 0.2], [1.0, 0.0]], [[0.3, 0.7], [0.0, 1.0]]])
+        mu = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.3, 0.7], [0.0, 1.0]]])
+        rows = kl_divergence(nu, mu)
+        assert rows.shape == (2, 2)
+        assert rows[0, 0] == pytest.approx(expected, abs=1e-12)
+        for idx in np.ndindex(2, 2):
+            assert rows[idx] == kl_divergence(nu[idx], mu[idx])
 
     def test_absolute_continuity_violation_names_coordinate(self):
         with pytest.raises(ValueError, match="coordinate 1"):
             kl_divergence([0.5, 0.5], [1.0, 0.0])
+        nu = np.full((2, 3, 2), 0.5)
+        mu = np.full((2, 3, 2), 0.5)
+        mu[1, 2] = [0.0, 1.0]
+        with pytest.raises(ValueError, match=r"at \(x=1, a=2\): .* coordinate 0"):
+            kl_divergence(nu, mu)
 
     def test_zero_nu_terms_contribute_nothing(self):
         assert kl_divergence([0.0, 1.0], [0.0, 1.0]) == 0.0
@@ -85,11 +98,12 @@ class TestKLCostTable:
                 q_row = 0.7 * p_row + 0.3 / 3
                 expected = float(np.sum(p_row * np.log(p_row / q_row)))
                 assert c[x, a] == pytest.approx(expected, abs=1e-14)
+                assert c[x, a] == kl_divergence(p_row, q.kernel[x, a])
 
     def test_error_carries_location(self):
         m = random_instance(np.random.default_rng(4), num_states=2, num_actions=2)
         Q = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]])
-        with pytest.raises(ValueError, match=r"x=0, a=0"):
+        with pytest.raises(ValueError, match=r"x=0, a=0\): .* coordinate 1"):
             kl_cost_table(m, Q)
 
 

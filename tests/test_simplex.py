@@ -4,9 +4,13 @@ import pytest
 from berknash import (
     InfeasibleLPError,
     LinearProgram,
+    MDPInstance,
     UnboundedLPError,
+    mixture_kernel,
     simplex_solve,
+    value_iteration,
 )
+from berknash.planning import build_primal_lp
 from _helpers import enumerate_lp_vertices
 
 
@@ -79,6 +83,21 @@ def test_unbounded_reports_ray():
     with pytest.raises(UnboundedLPError) as err:
         simplex_solve(lp)
     assert err.value.ray_index == 0
+
+
+@pytest.mark.parametrize("eps", np.linspace(0.05, 0.45, 8)[[5, 7]].tolist())
+def test_phase1_drift_is_not_unbounded(eps):
+    # Bounded value-form LPs whose phase 1 meets an improving column with no
+    # positive entry (reduced cost just past OPT_TOL): rounding drift, since
+    # the artificial mass cannot fall below 0, not an unbounded ray.
+    rng = np.random.default_rng(7)
+    S, A = 40, 4
+    kernel = np.maximum(rng.dirichlet(np.full(S, 0.3), size=(S, A)), 1e-6)
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    m = MDPInstance(kernel, rng.uniform(-1, 1, size=(S, A)), 0.95, np.full(S, 1 / S))
+    m_k = m.with_kernel(mixture_kernel(m, eps).kernel)
+    sol = simplex_solve(build_primal_lp(m_k))
+    assert abs(sol.objective - value_iteration(m_k).sum()) <= 1e-7
 
 
 def test_free_variables_and_minimization():
