@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .equilibrium import enumerate_equilibria
@@ -185,6 +184,13 @@ def _typed(value, annotation, field: str):
     return value
 
 
+def _numbers(value, field: str):
+    """``value``, a number or nested lists of numbers, checked leaf by leaf."""
+    if isinstance(value, list):
+        return [_numbers(v, field) for v in value]
+    return _typed(value, float, field)
+
+
 def _build(data: dict, name: str, **preset):
     """Config section ``name`` as its dataclass, its keys laid over ``preset``.
 
@@ -215,13 +221,11 @@ def _instance_from_spec(spec) -> MDPInstance:
     missing = {"kernel", "rewards", "discount", "initial_dist"} - set(spec)
     if missing:
         raise ConfigError(f"mdp: missing fields {sorted(missing)}")
+    tables = {key: _numbers(spec[key], f"mdp.{key}")
+              for key in ("kernel", "rewards", "initial_dist")}
+    discount = _typed(spec["discount"], float, "mdp.discount")
     try:
-        m = MDPInstance(
-            kernel=np.asarray(spec["kernel"], dtype=float),
-            rewards=np.asarray(spec["rewards"], dtype=float),
-            discount=float(spec["discount"]),
-            initial_dist=np.asarray(spec["initial_dist"], dtype=float),
-        )
+        m = MDPInstance(discount=discount, **tables)
         validate_instance(m)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"mdp: {err}") from None
@@ -232,8 +236,9 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
     if not isinstance(spec, dict):
         raise ConfigError("conjectures: expected an object")
     if "epsilons" in spec:
+        epsilons = _numbers(spec["epsilons"], "conjectures.epsilons")
         try:
-            return mixture_family(m, spec["epsilons"])
+            return mixture_family(m, epsilons)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"conjectures.epsilons: {err}") from None
     if "kernels" in spec:
@@ -242,7 +247,7 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
         members = []
         for i, item in enumerate(spec["kernels"]):
             try:
-                kernel = np.asarray(item["kernel"], dtype=float)
+                kernel = np.asarray(_numbers(item["kernel"], "kernel"), dtype=float)
                 if kernel.shape != m.kernel.shape:
                     raise ValueError(
                         f"kernel shape {kernel.shape} does not match the instance's "
@@ -404,7 +409,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "berknash": __version__,
         },
         "artifacts": {name: path.name for name, path in csvs.items()},

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 # Row sums of stochastic tables must match 1 this tightly.
 ROW_SUM_TOL = 1e-12
@@ -71,6 +70,8 @@ def validate_instance(m: MDPInstance) -> None:
     Error messages name the offending row or field so malformed configs can
     be fixed without digging through arrays.
     """
+    if m.kernel.ndim != 3:
+        raise ValueError(f"kernel must have shape (S, m, S), got {m.kernel.shape}")
     S, A = m.num_states, m.num_actions
     if S < 1 or A < 1:
         raise ValueError(f"state/action counts must be positive, got S={S}, m={A}")
@@ -198,7 +199,7 @@ def stationary_distribution(Ppi: np.ndarray, residual_tol: float = 1e-10) -> np.
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    mu = scipy.linalg.solve(A, b)
+    mu = np.linalg.solve(A, b)
     mu = np.maximum(mu, 0.0)
     mu /= mu.sum()
 
@@ -224,4 +225,4 @@ def policy_value(m: MDPInstance, pi: np.ndarray) -> np.ndarray:
     """
     Kpi = induced_kernel(m, pi)
     rpi = np.einsum("xa,xa->x", np.asarray(pi, dtype=float), m.rewards)
-    return scipy.linalg.solve(np.eye(m.num_states) - m.discount * Kpi, rpi)
+    return np.linalg.solve(np.eye(m.num_states) - m.discount * Kpi, rpi)

@@ -26,9 +26,9 @@ class SubjectiveKernel:
         kernel = np.ascontiguousarray(np.asarray(self.kernel, dtype=float))
         kernel.setflags(write=False)
         object.__setattr__(self, "kernel", kernel)
-        off = np.abs(kernel.sum(axis=-1) - 1.0)
-        if np.any(off > ROW_SUM_TOL) or np.any(kernel < 0.0):
-            x, a = np.unravel_index(np.argmax(off), off.shape)
+        bad = (np.abs(kernel.sum(axis=-1) - 1.0) > ROW_SUM_TOL) | (kernel < 0.0).any(axis=-1)
+        if bad.any():
+            x, a = np.argwhere(bad)[0]
             raise ValueError(
                 f"subjective kernel '{self.label}' is not row-stochastic at (x={x}, a={a})"
             )

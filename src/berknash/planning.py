@@ -9,7 +9,6 @@ conjecture Q instead of the true dynamics.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .mdp import MDPInstance, induced_kernel, uniform_policy
 from .simplex import LinearProgram
@@ -85,6 +84,14 @@ def best_response_policy(m: MDPInstance, tie_rule: str = "lowest") -> np.ndarray
     return lowest if tie_rule == "lowest" else uniform
 
 
+def _flow_rows(m: MDPInstance) -> np.ndarray:
+    """The (S*A, S) matrix with row x*A+a equal to e_x - beta Q(.|x,a)."""
+    S, A = m.num_states, m.num_actions
+    rows = -m.discount * m.kernel.reshape(S * A, S)
+    rows[np.arange(S * A), np.repeat(np.arange(S), A)] += 1.0
+    return rows
+
+
 def build_primal_lp(m: MDPInstance) -> LinearProgram:
     """Value-form LP: minimize sum_x v(x) subject to v majorizing every backup.
 
@@ -92,18 +99,10 @@ def build_primal_lp(m: MDPInstance) -> LinearProgram:
     v(x) - beta sum_y Q(y|x,a) v(y) >= r(x,a). Rows are ordered x-major.
     """
     S, A = m.num_states, m.num_actions
-    rows = np.zeros((S * A, S))
-    rhs = np.zeros(S * A)
-    for x in range(S):
-        for a in range(A):
-            i = x * A + a
-            rows[i] = -m.discount * m.kernel[x, a]
-            rows[i, x] += 1.0
-            rhs[i] = m.rewards[x, a]
     return LinearProgram(
         objective=np.ones(S),
-        constraints=rows,
-        rhs=rhs,
+        constraints=_flow_rows(m),
+        rhs=m.rewards.reshape(S * A),
         senses=(">=",) * (S * A),
         lower_bounds=np.full(S, -np.inf),
         maximize=False,
@@ -115,21 +114,14 @@ def build_dual_lp(m: MDPInstance) -> LinearProgram:
     discounted flow-balance rows, one per state.
 
     Variables eta(x,a) >= 0 are ordered x-major; row x reads
-    sum_a eta(x,a) - beta sum_{x',a'} Q(x|x',a') eta(x',a') = mu0(x).
+    sum_a eta(x,a) - beta sum_{x',a'} Q(x|x',a') eta(x',a') = mu0(x),
+    so the constraint matrix is the transpose of the primal's.
     """
     S, A = m.num_states, m.num_actions
     n = S * A
-    rows = np.zeros((S, n))
-    for x in range(S):
-        for xp in range(S):
-            for ap in range(A):
-                col = xp * A + ap
-                rows[x, col] = -m.discount * m.kernel[xp, ap, x]
-                if xp == x:
-                    rows[x, col] += 1.0
     return LinearProgram(
         objective=m.rewards.reshape(n),
-        constraints=rows,
+        constraints=np.ascontiguousarray(_flow_rows(m).T),
         rhs=m.initial_dist.copy(),
         senses=("=",) * S,
         lower_bounds=np.zeros(n),
@@ -164,7 +156,5 @@ def occupation_of_policy(m: MDPInstance, pi: np.ndarray) -> np.ndarray:
     the dual LP by construction.
     """
     Qpi = induced_kernel(m, pi)
-    h = scipy.linalg.solve(
-        np.eye(m.num_states) - m.discount * Qpi.T, m.initial_dist
-    )
+    h = np.linalg.solve(np.eye(m.num_states) - m.discount * Qpi.T, m.initial_dist)
     return np.asarray(pi, dtype=float) * h[:, None]

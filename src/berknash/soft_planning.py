@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .mdp import MDPInstance
 from .planning import backup_values
@@ -43,8 +42,14 @@ def soft_bellman_operator(
     m: MDPInstance, temperature: float, v: np.ndarray
 ) -> np.ndarray:
     """(Tv)(x) = temperature * log sum_a exp(q(x,a)/temperature)."""
-    q = backup_values(m, v)
-    return temperature * logsumexp(q / temperature, axis=1)
+    z = backup_values(m, v) / temperature
+    rows = np.arange(z.shape[0])
+    best = z.argmax(axis=1)
+    top = z[rows, best]
+    # log1p over all but the first max: scipy's bytes, and an exact tie gives log 2
+    e = np.exp(z - top[:, None])
+    e[rows, best] = 0.0
+    return temperature * (top + np.log1p(e.sum(axis=1)))
 
 
 def soft_value_iteration(
@@ -75,7 +80,9 @@ def softmax_policy(q: np.ndarray, temperature: float) -> np.ndarray:
     """Row-wise softmax of the action values at the given temperature."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return softmax(np.asarray(q, dtype=float) / temperature, axis=1)
+    z = np.asarray(q, dtype=float) / temperature
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def soft_best_response(

@@ -25,6 +25,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+INLINE_MDP = {
+    "kernel": [[[0.5, 0.5], [0.9, 0.1]], [[0.3, 0.7], [0.5, 0.5]]],
+    "rewards": [[1.0, 0.0], [0.5, 2.0]],
+    "discount": 0.9,
+    "initial_dist": [0.5, 0.5],
+}
+
+
 class TestBenchmark3:
     def test_instance_validates(self):
         m, cs = benchmark3()
@@ -345,6 +353,21 @@ class TestCLI:
             (json.dumps({"experiment": "zooming", "zoom": {"initial_grid": 2.0}}),
              "zoom.initial_grid"),
             (json.dumps({"experiment": "case-study", "soft": [1]}), "soft"),
+            (json.dumps({"experiment": "case-study",
+                         "mdp": {**INLINE_MDP, "discount": "0.9"}}), "mdp.discount"),
+            (json.dumps({"experiment": "case-study",
+                         "mdp": {**INLINE_MDP, "rewards": [["0.4", True], [0.5, 2.0]]}}),
+             "mdp.rewards"),
+            (json.dumps({"experiment": "case-study", "mdp": {**INLINE_MDP, "kernel": 5}}),
+             "mdp: kernel must have shape"),
+            (json.dumps({"experiment": "case-study", "conjectures": {"epsilons": ["0.1"]}}),
+             "conjectures.epsilons"),
+            (json.dumps({"experiment": "case-study", "conjectures": {"epsilons": [True, 0.2]}}),
+             "conjectures.epsilons"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP,
+                         "conjectures": {"kernels": [{"kernel": [[["0.5", 0.5], [0.9, 0.1]],
+                                                                 [[0.3, 0.7], [0.5, 0.5]]]}]}}),
+             "conjectures.kernels[0]: kernel"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -352,7 +375,8 @@ class TestCLI:
              "rollout-horizon-float", "grid-size-float", "max-iters-float",
              "horizon-bool", "equilibrium-tol-bool", "zoom-interval-float",
              "bandit-rng-seed", "learning-rate-str", "initial-grid-float",
-             "soft-not-object"],
+             "soft-not-object", "discount-str", "rewards-str-bool", "kernel-scalar",
+             "epsilons-str", "epsilons-bool", "kernels-str"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)

@@ -237,3 +237,18 @@ class TestMixtureFamily:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             ConjectureSet(members=())
+
+
+class TestSubjectiveKernel:
+    @pytest.mark.parametrize(
+        "bad_rows, where",
+        [({(2, 1): [1.2, -0.2, 0.0]}, "x=2, a=1"),
+         ({(1, 0): [0.5, 0.5, 0.5], (2, 1): [1.5, -0.5, 0.0]}, "x=1, a=0")],
+        ids=["negative-entry", "first-of-two"],
+    )
+    def test_error_names_first_bad_row(self, bad_rows, where):
+        kernel = np.full((3, 2, 3), 1.0 / 3.0)
+        for (x, a), row in bad_rows.items():
+            kernel[x, a] = row
+        with pytest.raises(ValueError, match=rf"not row-stochastic at \({where}\)"):
+            SubjectiveKernel(kernel=kernel, label="bad")

@@ -161,6 +161,22 @@ class TestPrimalLP:
                 assert abs(slack[x * 2 + a]) <= 1e-8
 
 
+    def test_rows_match_elementwise_definition(self):
+        rng = np.random.default_rng(13)
+        for S, A in ((1, 1), (3, 2), (4, 3)):
+            m = random_instance(rng, num_states=S, num_actions=A)
+            m = m.with_kernel(np.where(rng.random(m.kernel.shape) < 0.3, 0.0, m.kernel))
+            rows = np.zeros((S * A, S))
+            for x in range(S):
+                for a in range(A):
+                    rows[x * A + a] = -m.discount * m.kernel[x, a]
+                    rows[x * A + a, x] += 1.0
+            # bytes, so signed zeros count too; the dual's matrix is the transpose
+            assert build_primal_lp(m).constraints.tobytes() == rows.tobytes()
+            assert build_primal_lp(m).rhs.tobytes() == m.rewards.tobytes()
+            assert build_dual_lp(m).constraints.tobytes() == rows.T.copy().tobytes()
+
+
 class TestDualLP:
     def test_scalar_unique_feasible_point(self):
         m = scalar_instance(discount=0.5)

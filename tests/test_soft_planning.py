@@ -47,6 +47,11 @@ class TestSoftBellmanOperator:
         assert soft_bellman_operator(m, lam, v)[0] == pytest.approx(
             backup + lam * math.log(2), abs=1e-12
         )
+        # backups (b, b, b - 1): the tie stays exact next to a lower action
+        m3 = MDPInstance(np.ones((1, 3, 1)), [[0.3, 0.3, -0.7]], 0.5, [1.0])
+        assert soft_bellman_operator(m3, lam, v)[0] == pytest.approx(
+            backup + lam * math.log(2 + math.exp(-1 / lam)), abs=1e-12
+        )
 
     def test_small_temperature_sandwich(self):
         rng = np.random.default_rng(1)
