@@ -24,8 +24,7 @@ print(f"planning under {model.label}; reference state 0")
 print(f"{'lambda':>10}  {'pi(a=0|0)':>10}  {'pi(a=1|0)':>10}  {'v_soft(0)':>10}  {'v_reward(0)':>11}")
 
 for lam in np.logspace(-4, 4, 17):
-    cfg = SoftPlanConfig(temperature=float(lam), fp_tol=1e-10 * max(1.0, lam))
-    pi, v_soft, _ = soft_best_response(m_theta, cfg)
+    pi, v_soft, _ = soft_best_response(m_theta, SoftPlanConfig(temperature=float(lam)))
     v_reward = policy_value(m_theta, pi)  # entropy bonus excluded
     print(f"{lam:10.1e}  {pi[0, 0]:10.6f}  {pi[0, 1]:10.6f}  "
           f"{v_soft[0]:10.4f}  {v_reward[0]:11.6f}")

@@ -36,6 +36,7 @@ from .simplex import (
     simplex_solve,
 )
 from .planning import (
+    PlanConvergenceError,
     backup_values,
     bellman_operator,
     best_response_policy,
@@ -48,7 +49,6 @@ from .planning import (
 )
 from .soft_planning import (
     SoftPlanConfig,
-    SoftPlanConvergenceError,
     soft_bellman_operator,
     soft_best_response,
     soft_value_iteration,

@@ -24,12 +24,18 @@ from .models import ConjectureSet, divergence_vector, kl_cost_table, long_run_di
 from .planning import greedy_policies, greedy_sets, occupation_of_policy, value_iteration
 from .soft_planning import SoftPlanConfig, soft_best_response
 
-DEFAULT_FEAS_TOL = 1e-7
+# Largest residual a condition group may carry in an accepted equilibrium.
+FEAS_TOL = 1e-7
+# Selection objectives this close to the minimum tie; the lowest index wins.
+TIE_TOL = 1e-9
 
 GROUP_SUBJECTIVE_FLOW = "subjective_flow"
 GROUP_TRUE_FREQUENCY = "true_frequency"
 GROUP_POLICY_CONSISTENCY = "policy_consistency"
 GROUP_KL_MINIMALITY = "kl_minimality"
+# The condition groups in the order every residual report lists them.
+RESIDUAL_GROUPS = (GROUP_SUBJECTIVE_FLOW, GROUP_TRUE_FREQUENCY,
+                   GROUP_POLICY_CONSISTENCY, GROUP_KL_MINIMALITY)
 
 
 @dataclass(frozen=True)
@@ -93,15 +99,13 @@ class EquilibriumReport:
 
 
 def check_joint_feasibility(
-    m: MDPInstance,
-    cs: ConjectureSet,
-    cand: JointCandidate,
-    tol: float = DEFAULT_FEAS_TOL,
+    m: MDPInstance, cs: ConjectureSet, cand: JointCandidate
 ) -> FeasibilityReport:
     """Evaluate the four coupled condition groups at ``cand``.
 
     Failures are reported, not raised; the report carries the max residual
-    of each group so a failing candidate names its broken condition.
+    of each group so a failing candidate names its broken condition. A group
+    fails when its residual exceeds FEAS_TOL.
     """
     k = cand.model_index
     if not (0 <= k < len(cs)):
@@ -134,7 +138,7 @@ def check_joint_feasibility(
     policy_res = 0.0
     for mass in (eta, d):
         marg = mass.sum(axis=1)
-        on = marg > tol
+        on = marg > FEAS_TOL
         policy_res = max(policy_res, np.abs(pi[on] - mass[on] / marg[on, None]).max(initial=0.0))
     residuals[GROUP_POLICY_CONSISTENCY] = float(policy_res)
 
@@ -142,7 +146,7 @@ def check_joint_feasibility(
     divs = divergence_vector(m, cs, d)
     residuals[GROUP_KL_MINIMALITY] = float(max(0.0, (divs[k] - divs).max()))
 
-    failed = tuple(g for g, r in residuals.items() if r > tol)
+    failed = tuple(g for g, r in residuals.items() if r > FEAS_TOL)
     return FeasibilityReport(passed=not failed, residuals=residuals, failed_groups=failed)
 
 
@@ -162,7 +166,6 @@ def enumerate_equilibria(
     cs: ConjectureSet,
     mode: str = "hard",
     temperature: float | None = None,
-    tol: float = DEFAULT_FEAS_TOL,
 ) -> EquilibriumReport:
     """Search every conjecture for a self-confirming best response.
 
@@ -197,11 +200,11 @@ def enumerate_equilibria(
                 reason = f"skipped: {err}"
             else:
                 divs = np.array([long_run_divergence(d, c) for c in costs])
-                if divs[k] > divs.min() + tol:
+                if divs[k] > divs.min() + FEAS_TOL:
                     reason = f"not KL-minimal: D_k={divs[k]:.6g} vs min {divs.min():.6g}"
                 else:
                     cand = JointCandidate(k, occupation_of_policy(m_k, pi), d, pi)
-                    feas = check_joint_feasibility(m, cs, cand, tol=tol)
+                    feas = check_joint_feasibility(m, cs, cand)
                     reason = (
                         "equilibrium" if feas.passed else
                         f"feasibility re-check failed: {', '.join(feas.failed_groups)}"
@@ -227,15 +230,15 @@ def bilevel_objective(
 
 
 def entropy_bn_select(
-    m: MDPInstance, cs: ConjectureSet, temperature: float, tie_tol: float = 1e-9
+    m: MDPInstance, cs: ConjectureSet, temperature: float
 ) -> tuple[int, np.ndarray]:
     """Minimize the smooth selection objective over the conjecture set.
 
-    Returns the lowest index within ``tie_tol`` of the minimum together with
+    Returns the lowest index within TIE_TOL of the minimum together with
     the full objective vector.
     """
     values = np.array(
         [bilevel_objective(m, cs, k, temperature) for k in range(len(cs))]
     )
-    best = int(np.flatnonzero(values <= values.min() + tie_tol)[0])
+    best = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
     return best, values

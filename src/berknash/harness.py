@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 import time
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import enumerate_equilibria
+from .equilibrium import RESIDUAL_GROUPS, enumerate_equilibria
 from .learning import BanditConfig, ZoomConfig, run_exp3, run_zoom_exp3
 from .mdp import MDPInstance, policy_value, validate_instance
 from .models import ConjectureSet, SubjectiveKernel, mixture_family, mixture_kernel
@@ -44,9 +45,6 @@ EXPERIMENT_KINDS = (
 )
 
 BENCHMARK_EPSILONS = (0.05, 0.15, 0.30, 0.45)
-
-# feasibility groups whose residuals fill the last columns of equilibria.csv
-RESIDUAL_GROUPS = ("subjective_flow", "true_frequency", "policy_consistency", "kl_minimality")
 
 
 class ConfigError(ValueError):
@@ -106,16 +104,13 @@ class LambdaGridConfig:
 
 @dataclass(frozen=True)
 class EquilibriumConfig:
-    """Enumeration modes of the equilibrium report and its feasibility tolerance."""
+    """Enumeration modes of the equilibrium report."""
 
     mode: str = "both"
-    tol: float = 1e-7
 
     def __post_init__(self):
         if self.mode not in ("hard", "soft", "both"):
             raise ValueError(f"mode must be hard, soft, or both, got {self.mode!r}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 # Config sections, each parsed into its dataclass by _build.
@@ -181,6 +176,9 @@ def _typed(value, annotation, field: str):
     # bool is an int subclass, but true/false is never a number here
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{field}: expected {kind}, got {value!r}")
+    # JSON as Python reads it admits NaN and Infinity
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
     return value
 
 
@@ -464,15 +462,7 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
     m_theta = cfg.instance.with_kernel(member.kernel)
     rows = []
     for lam in cfg.lambda_grid.values():
-        # The policy depends on q/lambda, so the fixed-point tolerance can
-        # grow with lambda; an absolute 1e-10 at lambda=1e4 would sit below
-        # the float noise floor of a ~1e5 fixed point.
-        soft_cfg = SoftPlanConfig(
-            temperature=float(lam),
-            fp_tol=cfg.soft.fp_tol * max(1.0, float(lam)),
-            max_iters=cfg.soft.max_iters,
-        )
-        pi, v_soft, _ = soft_best_response(m_theta, soft_cfg)
+        pi, v_soft, _ = soft_best_response(m_theta, SoftPlanConfig(temperature=float(lam)))
         # Reward-only evaluation of the softmax policy under the same
         # kernel it was planned against (no entropy bonus in either term).
         v_reward = policy_value(m_theta, pi)
@@ -573,7 +563,6 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
             cfg.conjectures,
             mode=mode,
             temperature=cfg.soft.temperature if mode == "soft" else None,
-            tol=eq.tol,
         )
         for diag in report.diagnostics:
             # residual columns stay blank unless the candidate was accepted

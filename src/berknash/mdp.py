@@ -21,6 +21,8 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 # Entries below this are treated as structural zeros of the support graph.
 SUPPORT_TOL = 1e-15
+# A stationary solve must balance to this L1 residual.
+BALANCE_TOL = 1e-10
 
 
 class ReducibleChainError(ValueError):
@@ -85,11 +87,13 @@ def validate_instance(m: MDPInstance) -> None:
         )
     if not (0.0 < m.discount < 1.0):
         raise ValueError(f"discount out of range (0, 1): {m.discount}")
-    if not np.all(np.isfinite(m.kernel)):
-        raise ValueError("kernel contains non-finite entries")
-    if not np.all(np.isfinite(m.rewards)):
-        bad = np.argwhere(~np.isfinite(m.rewards))[0]
-        raise ValueError(f"rewards non-finite at (x={bad[0]}, a={bad[1]})")
+    for name, arr, axes in (("kernel", m.kernel, ("x", "a", "x'")),
+                            ("rewards", m.rewards, ("x", "a")),
+                            ("initial_dist", m.initial_dist, ("x",))):
+        if not np.all(np.isfinite(arr)):
+            bad = np.argwhere(~np.isfinite(arr))[0]
+            where = ", ".join(f"{axis}={i}" for axis, i in zip(axes, bad))
+            raise ValueError(f"{name} non-finite at ({where})")
     if np.any(m.kernel < 0.0):
         x, a, y = np.argwhere(m.kernel < 0.0)[0]
         raise ValueError(f"kernel negative at (x={x}, a={a}, x'={y})")
@@ -183,7 +187,7 @@ def _check_irreducible(P: np.ndarray) -> None:
         )
 
 
-def stationary_distribution(Ppi: np.ndarray, residual_tol: float = 1e-10) -> np.ndarray:
+def stationary_distribution(Ppi: np.ndarray) -> np.ndarray:
     """Unique stationary distribution of an irreducible row-stochastic chain.
 
     Solves the balance equations directly (one equation replaced by the
@@ -204,9 +208,9 @@ def stationary_distribution(Ppi: np.ndarray, residual_tol: float = 1e-10) -> np.
     mu /= mu.sum()
 
     residual = np.abs(mu @ Ppi - mu).sum()
-    if residual > residual_tol:
+    if residual > BALANCE_TOL:
         raise RuntimeError(
-            f"stationary solve residual {residual:.3g} exceeds {residual_tol:.3g}"
+            f"stationary solve residual {residual:.3g} exceeds {BALANCE_TOL:.3g}"
         )
     return mu
 

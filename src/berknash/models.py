@@ -26,7 +26,8 @@ class SubjectiveKernel:
         kernel = np.ascontiguousarray(np.asarray(self.kernel, dtype=float))
         kernel.setflags(write=False)
         object.__setattr__(self, "kernel", kernel)
-        bad = (np.abs(kernel.sum(axis=-1) - 1.0) > ROW_SUM_TOL) | (kernel < 0.0).any(axis=-1)
+        bad = ((np.abs(kernel.sum(axis=-1) - 1.0) > ROW_SUM_TOL)
+               | (kernel < 0.0).any(axis=-1) | ~np.isfinite(kernel).all(axis=-1))
         if bad.any():
             x, a = np.argwhere(bad)[0]
             raise ValueError(

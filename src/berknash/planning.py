@@ -14,7 +14,14 @@ from .mdp import MDPInstance, induced_kernel, uniform_policy
 from .simplex import LinearProgram
 
 DEFAULT_VI_TOL = 1e-10
-DEFAULT_ACT_TOL = 1e-8
+# Actions whose backup is this close to the best count as greedy.
+ACT_TOL = 1e-8
+# Sweep cap of the fixed-point loop shared by the hard and soft planners.
+MAX_SWEEPS = 10**6
+
+
+class PlanConvergenceError(RuntimeError):
+    """A planner's fixed-point loop hit MAX_SWEEPS before reaching its tolerance."""
 
 
 def backup_values(m: MDPInstance, v: np.ndarray) -> np.ndarray:
@@ -27,39 +34,41 @@ def bellman_operator(m: MDPInstance, v: np.ndarray) -> np.ndarray:
     return backup_values(m, v).max(axis=1)
 
 
-def value_iteration(
-    m: MDPInstance, vi_tol: float = DEFAULT_VI_TOL, max_iters: int = 10**6
-) -> np.ndarray:
-    """Iterate the Bellman operator from v=0 until the fixed point is within
-    ``vi_tol`` in sup norm.
+def _fixed_point(step, m: MDPInstance, tol: float) -> np.ndarray:
+    """Iterate the beta-contraction ``step`` from v=0 until its fixed point is
+    within ``tol`` in sup norm.
 
-    The stopping threshold vi_tol*(1-beta)/(2*beta) converts the successive-
+    The stopping threshold tol*(1-beta)/(2*beta) converts the successive-
     iterate gap into that guarantee via the contraction modulus.
     """
-    if vi_tol <= 0.0:
-        raise ValueError(f"vi_tol must be positive, got {vi_tol}")
     beta = m.discount
-    threshold = vi_tol * (1.0 - beta) / (2.0 * beta)
+    threshold = tol * (1.0 - beta) / (2.0 * beta)
     v = np.zeros(m.num_states)
-    for _ in range(max_iters):
-        v_next = bellman_operator(m, v)
+    for _ in range(MAX_SWEEPS):
+        v_next = step(v)
         gap = np.abs(v_next - v).max()
         v = v_next
         if gap <= threshold:
             return v
-    raise RuntimeError(
-        f"value iteration did not converge in {max_iters} iterations "
-        f"(vi_tol={vi_tol:g} may be below float precision)"
+    raise PlanConvergenceError(
+        f"fixed-point iteration did not reach tol={tol:g} within {MAX_SWEEPS} "
+        "sweeps; the tolerance may be below float precision"
     )
 
 
-def greedy_sets(
-    m: MDPInstance, v: np.ndarray, act_tol: float = DEFAULT_ACT_TOL
-) -> list[np.ndarray]:
-    """Per-state actions whose backup is within ``act_tol`` of the best."""
+def value_iteration(m: MDPInstance, vi_tol: float = DEFAULT_VI_TOL) -> np.ndarray:
+    """Iterate the Bellman operator from v=0 until the fixed point is within
+    ``vi_tol`` in sup norm."""
+    if vi_tol <= 0.0:
+        raise ValueError(f"vi_tol must be positive, got {vi_tol}")
+    return _fixed_point(lambda v: bellman_operator(m, v), m, vi_tol)
+
+
+def greedy_sets(m: MDPInstance, v: np.ndarray) -> list[np.ndarray]:
+    """Per-state actions whose backup is within ACT_TOL of the best."""
     q = backup_values(m, v)
     best = q.max(axis=1, keepdims=True)
-    return [np.flatnonzero(q[x] >= best[x] - act_tol) for x in range(m.num_states)]
+    return [np.flatnonzero(q[x] >= best[x] - ACT_TOL) for x in range(m.num_states)]
 
 
 def greedy_policies(sets: list[np.ndarray], num_actions: int) -> tuple[np.ndarray, np.ndarray]:

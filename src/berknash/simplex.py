@@ -173,11 +173,12 @@ def _objective_row(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
             T[-1] -= cb * T[i]
 
 
-def simplex_solve(lp: LinearProgram, feas_tol: float = OPT_TOL) -> SimplexSolution:
+def simplex_solve(lp: LinearProgram) -> SimplexSolution:
     """Solve ``lp`` by two-phase dense tableau simplex with Bland's rule.
 
     Raises InfeasibleLPError / UnboundedLPError; otherwise the returned point
-    satisfies all rows within ``feas_tol`` and reduced costs >= -OPT_TOL.
+    satisfies all rows within OPT_TOL (relative to the largest right-hand
+    side, at least 1) and reduced costs >= -OPT_TOL.
     """
     n = lp.num_vars
     m = lp.num_rows
@@ -233,7 +234,7 @@ def simplex_solve(lp: LinearProgram, feas_tol: float = OPT_TOL) -> SimplexSoluti
     iters = _bland_iterate(T, basis, allowed=n_std)
 
     phase1_obj = -T[-1, -1]
-    if phase1_obj > feas_tol * max(1.0, np.abs(b_std).max()):
+    if phase1_obj > OPT_TOL * max(1.0, np.abs(b_std).max()):
         raise InfeasibleLPError(float(phase1_obj))
 
     # Drive lingering artificials out of the basis; drop redundant rows.
@@ -263,7 +264,7 @@ def simplex_solve(lp: LinearProgram, feas_tol: float = OPT_TOL) -> SimplexSoluti
         x[j] += sign * x_std[idx]
 
     residual = _feasibility_residual(lp, x)
-    if residual > feas_tol * max(1.0, np.abs(lp.rhs).max()):
+    if residual > OPT_TOL * max(1.0, np.abs(lp.rhs).max()):
         raise RuntimeError(f"simplex produced residual {residual:.3g} (tableau drift)")
     return SimplexSolution(x=x, objective=float(lp.objective @ x), iterations=iters)
 

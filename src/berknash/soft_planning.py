@@ -14,28 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import MDPInstance
-from .planning import backup_values
+from .planning import _fixed_point, backup_values
 
-
-class SoftPlanConvergenceError(RuntimeError):
-    """Soft value iteration hit its iteration cap before reaching fp_tol."""
+FP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SoftPlanConfig:
-    """Temperature and fixed-point solve controls for soft planning."""
+    """Temperature of soft planning."""
 
     temperature: float
-    fp_tol: float = 1e-10
-    max_iters: int = 10**6
 
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.fp_tol <= 0.0:
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 def soft_bellman_operator(
@@ -57,23 +49,15 @@ def soft_value_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed point of the soft Bellman operator plus its action-value table.
 
-    Stops when successive iterates differ by at most
-    fp_tol*(1-beta)/(2*beta) in sup norm, which bounds the distance to the
-    true fixed point by fp_tol.
+    The fixed point is found to within FP_TOL*max(1, temperature) in sup
+    norm. The softmax policy depends on q/temperature only, so the scaled
+    tolerance moves it no more than FP_TOL does at temperature 1, while an
+    absolute 1e-10 at temperature 1e4 would sit below the float noise floor
+    of a fixed point of order 1e5.
     """
-    beta = m.discount
-    threshold = cfg.fp_tol * (1.0 - beta) / (2.0 * beta)
-    v = np.zeros(m.num_states)
-    for _ in range(cfg.max_iters):
-        v_next = soft_bellman_operator(m, cfg.temperature, v)
-        gap = np.abs(v_next - v).max()
-        v = v_next
-        if gap <= threshold:
-            return v, backup_values(m, v)
-    raise SoftPlanConvergenceError(
-        f"soft value iteration did not reach fp_tol={cfg.fp_tol:g} within "
-        f"{cfg.max_iters} iterations; the tolerance may be below float precision"
-    )
+    tol = FP_TOL * max(1.0, cfg.temperature)
+    v = _fixed_point(lambda u: soft_bellman_operator(m, cfg.temperature, u), m, tol)
+    return v, backup_values(m, v)
 
 
 def softmax_policy(q: np.ndarray, temperature: float) -> np.ndarray:

@@ -1,11 +1,14 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from berknash import (
     ConfigError,
+    SoftPlanConfig,
     benchmark3,
     best_response_policy,
     config_from_dict,
@@ -14,6 +17,7 @@ from berknash import (
     induced_kernel,
     load_config,
     run_experiment,
+    soft_best_response,
     stationary_distribution,
     validate_instance,
 )
@@ -127,6 +131,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown top-level"):
             config_from_dict({"experiment": "case-study", "bandits": {}})
 
+    def test_readme_config_block_is_the_default_config(self, monkeypatch):
+        monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        documented = json.loads(re.sub(r"//.*", "", block))
+        # every section lists exactly the parser's keys, each at its default
+        assert documented == config_from_dict({"experiment": documented["experiment"]}).resolved
+
     def test_missing_mdp_fields_listed(self):
         with pytest.raises(ConfigError, match="missing fields"):
             config_from_dict({"experiment": "case-study", "mdp": {"kernel": []}})
@@ -191,6 +203,21 @@ class TestRunExperiment:
         cold = by_lambda[lams[0]]
         assert max(cold[(0, 0)], cold[(0, 1)]) >= 1.0 - 1e-3
 
+    def test_lambda_sweep_rows_match_direct_best_response(self, tmp_path):
+        # every temperature of the sweep plans exactly as a direct call does
+        cfg = self._cfg(tmp_path, "lambda-sweep")
+        rows = iter(read_csv(run_experiment(cfg).csv_paths["sweep"]))
+        m_theta = cfg.instance.with_kernel(cfg.conjectures.members[0].kernel)
+        for lam in cfg.lambda_grid.values():
+            pi, v_soft, _ = soft_best_response(m_theta, SoftPlanConfig(temperature=float(lam)))
+            for x in range(m_theta.num_states):
+                for a in range(m_theta.num_actions):
+                    row = next(rows)
+                    assert (row["lambda"], row["pi"], row["v_soft"]) == tuple(
+                        format(float(v), ".17g") for v in (lam, pi[x, a], v_soft[x])
+                    ), f"lambda={lam:g}, x={x}, a={a}"
+        assert next(rows, None) is None
+
     def test_duality_audit_gaps(self, tmp_path):
         cfg = self._cfg(tmp_path, "duality-audit")
         artifacts = run_experiment(cfg)
@@ -250,7 +277,7 @@ class TestRunExperiment:
         ("case-study", {"bandit": {"horizon": 50, "learning_rate": 0.25}}),
         ("lambda-sweep", {"lambda_grid": {"points": 3, "max": 10.0}}),
         ("zooming", {"bandit": {"horizon": 60}, "zoom": {"zoom_interval": 20}}),
-        ("equilibrium-report", {"equilibrium": {"mode": "hard", "tol": 1e-8}}),
+        ("equilibrium-report", {"equilibrium": {"mode": "hard"}}),
         ("duality-audit", {"soft": {"temperature": 0.5}}),
     ], ids=["case-study", "lambda-sweep", "zooming", "equilibrium-report", "duality-audit"])
     def test_manifest_config_reloads_to_equal_config(self, tmp_path, kind, extra):
@@ -368,6 +395,15 @@ class TestCLI:
                          "conjectures": {"kernels": [{"kernel": [[["0.5", 0.5], [0.9, 0.1]],
                                                                  [[0.3, 0.7], [0.5, 0.5]]]}]}}),
              "conjectures.kernels[0]: kernel"),
+            (json.dumps({"experiment": "case-study", "bandit": {"learning_rate": float("inf")}}),
+             "bandit.learning_rate"),
+            (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"max": float("inf")}}),
+             "lambda_grid.max"),
+            (json.dumps({"experiment": "case-study", "soft": {"temperature": float("nan")}}),
+             "soft.temperature"),
+            (json.dumps({"experiment": "case-study",
+                         "mdp": {**INLINE_MDP, "rewards": [[float("nan"), 0.0], [0.5, 2.0]]}}),
+             "mdp.rewards"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -376,7 +412,8 @@ class TestCLI:
              "horizon-bool", "equilibrium-tol-bool", "zoom-interval-float",
              "bandit-rng-seed", "learning-rate-str", "initial-grid-float",
              "soft-not-object", "discount-str", "rewards-str-bool", "kernel-scalar",
-             "epsilons-str", "epsilons-bool", "kernels-str"],
+             "epsilons-str", "epsilons-bool", "kernels-str", "learning-rate-inf",
+             "lambda-max-inf", "temperature-nan", "rewards-nan"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)

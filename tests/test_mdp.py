@@ -62,6 +62,19 @@ class TestValidateInstance:
         with pytest.raises(ValueError, match=r"x=0, a=1"):
             validate_instance(m)
 
+    def test_nan_entries_located(self):
+        # NaN fails every comparison, so range and sum checks alone let it through
+        kernel = two_state_instance().kernel.copy()
+        kernel[1, 0] = [np.nan, 0.5]
+        m = MDPInstance(kernel=kernel, rewards=np.zeros((2, 2)), discount=0.9,
+                        initial_dist=[0.5, 0.5])
+        with pytest.raises(ValueError, match=r"kernel non-finite at \(x=1, a=0, x'=0\)"):
+            validate_instance(m)
+        m = MDPInstance(kernel=two_state_instance().kernel, rewards=np.zeros((2, 2)),
+                        discount=0.9, initial_dist=[0.5, np.nan])
+        with pytest.raises(ValueError, match=r"initial_dist non-finite at \(x=1\)"):
+            validate_instance(m)
+
 
 class TestInducedKernel:
     def test_deterministic_policy_selects_action_rows(self):

@@ -243,8 +243,9 @@ class TestSubjectiveKernel:
     @pytest.mark.parametrize(
         "bad_rows, where",
         [({(2, 1): [1.2, -0.2, 0.0]}, "x=2, a=1"),
-         ({(1, 0): [0.5, 0.5, 0.5], (2, 1): [1.5, -0.5, 0.0]}, "x=1, a=0")],
-        ids=["negative-entry", "first-of-two"],
+         ({(1, 0): [0.5, 0.5, 0.5], (2, 1): [1.5, -0.5, 0.0]}, "x=1, a=0"),
+         ({(0, 1): [np.nan, 0.5, 0.5]}, "x=0, a=1")],
+        ids=["negative-entry", "first-of-two", "nan-entry"],
     )
     def test_error_names_first_bad_row(self, bad_rows, where):
         kernel = np.full((3, 2, 3), 1.0 / 3.0)

@@ -98,7 +98,7 @@ class TestGreedySets:
         m = random_instance(rng, num_states=4, num_actions=3, discount=0.9)
         v = value_iteration(m)
         q = m.rewards + m.discount * np.einsum("xay,y->xa", m.kernel, v)
-        sets = greedy_sets(m, v, act_tol=1e-8)
+        sets = greedy_sets(m, v)
         for x in range(4):
             expected = np.flatnonzero(q[x] >= q[x].max() - 1e-8)
             np.testing.assert_array_equal(sets[x], expected)

@@ -5,8 +5,8 @@ import pytest
 
 from berknash import (
     MDPInstance,
+    PlanConvergenceError,
     SoftPlanConfig,
-    SoftPlanConvergenceError,
     backup_values,
     bellman_operator,
     benchmark3,
@@ -18,6 +18,7 @@ from berknash import (
     softmax_policy,
     value_iteration,
 )
+from berknash import planning
 from _helpers import random_instance
 
 
@@ -110,17 +111,20 @@ class TestSoftValueIteration:
             assert gap <= lam * math.log(3) / (1 - 0.9) + 1e-9
             assert np.all(v_soft >= v_hard - 1e-9)
 
-    def test_iteration_cap_raises(self):
+    @pytest.mark.parametrize("plan", [
+        value_iteration,
+        lambda m: soft_value_iteration(m, SoftPlanConfig(temperature=0.1)),
+    ], ids=["hard", "soft"])
+    def test_iteration_cap_raises(self, monkeypatch, plan):
+        monkeypatch.setattr(planning, "MAX_SWEEPS", 3)
         rng = np.random.default_rng(5)
         m = random_instance(rng, discount=0.95)
-        with pytest.raises(SoftPlanConvergenceError):
-            soft_value_iteration(m, SoftPlanConfig(temperature=0.1, max_iters=3))
+        with pytest.raises(PlanConvergenceError, match="3 sweeps"):
+            plan(m)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="temperature"):
             SoftPlanConfig(temperature=0.0)
-        with pytest.raises(ValueError, match="fp_tol"):
-            SoftPlanConfig(temperature=0.1, fp_tol=-1.0)
 
 
 class TestSoftmaxPolicy:
@@ -159,7 +163,7 @@ class TestSoftmaxPolicy:
 class TestSoftBestResponse:
     def test_high_temperature_approaches_uniform(self):
         m, cs = benchmark3()
-        cfg = SoftPlanConfig(temperature=1e4, fp_tol=1e-6)
+        cfg = SoftPlanConfig(temperature=1e4)
         pi, _, _ = soft_best_response(m.with_kernel(cs.members[0].kernel), cfg)
         assert np.abs(pi - 0.5).max() <= 1e-3
 
@@ -172,8 +176,7 @@ class TestSoftBestResponse:
         lams = np.logspace(-4, 0, 17)
         max_probs = []
         for lam in lams:
-            cfg = SoftPlanConfig(temperature=float(lam), fp_tol=1e-10 * max(1.0, lam))
-            pi, _, _ = soft_best_response(mk, cfg)
+            pi, _, _ = soft_best_response(mk, SoftPlanConfig(temperature=float(lam)))
             max_probs.append(pi[0].max())
         max_probs = np.array(max_probs)
         low = max_probs[lams <= 0.1 + 1e-12]
@@ -187,8 +190,7 @@ class TestSoftBestResponse:
         mk = m.with_kernel(cs.members[0].kernel)
         values = []
         for lam in np.logspace(-3, 3, 13):
-            cfg = SoftPlanConfig(temperature=float(lam), fp_tol=1e-10 * max(1.0, lam))
-            pi, _, _ = soft_best_response(mk, cfg)
+            pi, _, _ = soft_best_response(mk, SoftPlanConfig(temperature=float(lam)))
             values.append(policy_value(mk, pi))
         values = np.array(values)
         assert np.all(np.diff(values, axis=0) <= 1e-9)
