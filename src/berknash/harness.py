@@ -95,8 +95,8 @@ class LambdaGridConfig:
     model_index: int = 0
 
     def __post_init__(self):
-        if self.points < 2 or self.min <= 0 or self.max <= self.min:
-            raise ValueError("need points >= 2 and 0 < min < max")
+        if self.points < 2 or not 0.0 < self.min < self.max < math.inf:
+            raise ValueError("need points >= 2 and 0 < min < max < inf")
 
     def values(self) -> np.ndarray:
         return np.logspace(np.log10(self.min), np.log10(self.max), self.points)

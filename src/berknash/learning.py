@@ -54,8 +54,8 @@ class BanditConfig:
     rng_seed: int = 11
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 < self.exploration < 1.0):
             raise ValueError(f"exploration must lie in (0, 1), got {self.exploration}")
         if self.horizon < 1:
@@ -64,12 +64,12 @@ class BanditConfig:
             raise ValueError(f"unknown loss_estimator {self.loss_estimator!r}")
         if self.rollout_horizon < 1:
             raise ValueError(f"rollout_horizon must be >= 1, got {self.rollout_horizon}")
-        if self.rollout_smoothing <= 0.0:
+        if not 0.0 < self.rollout_smoothing < np.inf:
             raise ValueError(
-                f"rollout_smoothing must be positive, got {self.rollout_smoothing}"
+                f"rollout_smoothing must be positive and finite, got {self.rollout_smoothing}"
             )
-        if self.loss_scale is not None and self.loss_scale <= 0.0:
-            raise ValueError(f"loss_scale must be positive, got {self.loss_scale}")
+        if self.loss_scale is not None and not 0.0 < self.loss_scale < np.inf:
+            raise ValueError(f"loss_scale must be positive and finite, got {self.loss_scale}")
 
 
 def sampling_distribution(weights: np.ndarray, exploration: float) -> np.ndarray:
@@ -297,8 +297,8 @@ class ZoomConfig:
         if self.zoom_interval < 1:
             raise ValueError(f"zoom_interval must be >= 1, got {self.zoom_interval}")
         for name in ("alpha0", "delta0", "rho0", "uncertainty_scale"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("alpha_decay", "delta_decay", "rho_decay"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
@@ -306,9 +306,9 @@ class ZoomConfig:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
         if self.initial_grid < 1:
             raise ValueError(f"initial_grid must be >= 1, got {self.initial_grid}")
-        lo, hi = self.bounds
-        if not np.all(np.asarray(lo) < np.asarray(hi)):
-            raise ValueError(f"bounds must satisfy lo < hi, got {self.bounds}")
+        lo, hi = np.asarray(self.bounds[0]), np.asarray(self.bounds[1])
+        if not np.all((-np.inf < lo) & (lo < hi) & (hi < np.inf)):
+            raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds}")
 
     def alpha(self, t: int) -> float:
         return self.alpha0 * self.alpha_decay ** (t // self.zoom_interval)

@@ -16,12 +16,12 @@ from .simplex import LinearProgram
 DEFAULT_VI_TOL = 1e-10
 # Actions whose backup is this close to the best count as greedy.
 ACT_TOL = 1e-8
-# Sweep cap of the fixed-point loop shared by the hard and soft planners.
-MAX_SWEEPS = 10**6
+# Step cap of the Newton loop shared by the hard and soft planners.
+MAX_STEPS = 100
 
 
 class PlanConvergenceError(RuntimeError):
-    """A planner's fixed-point loop hit MAX_SWEEPS before reaching its tolerance."""
+    """A planner's Newton loop hit MAX_STEPS before certifying its tolerance."""
 
 
 def backup_values(m: MDPInstance, v: np.ndarray) -> np.ndarray:
@@ -34,34 +34,42 @@ def bellman_operator(m: MDPInstance, v: np.ndarray) -> np.ndarray:
     return backup_values(m, v).max(axis=1)
 
 
-def _fixed_point(step, m: MDPInstance, tol: float) -> np.ndarray:
-    """Iterate the beta-contraction ``step`` from v=0 until its fixed point is
-    within ``tol`` in sup norm.
+def _newton(step, policy, m: MDPInstance, tol: float) -> np.ndarray:
+    """Policy iteration from v=0 on the beta-contraction ``step``, to within
+    ``tol`` of its fixed point in sup norm.
 
-    The stopping threshold tol*(1-beta)/(2*beta) converts the successive-
-    iterate gap into that guarantee via the contraction modulus.
+    ``policy(v)`` attains ``step(v)``, so v + (I - beta K_pi)^-1 (Tv - v) is
+    the exact value of pi and, as beta K_pi is the derivative of ``step``, a
+    Newton step. ||Tv - v|| <= tol*(1-beta)/(2*beta) certifies Tv through the
+    contraction modulus.
     """
     beta = m.discount
     threshold = tol * (1.0 - beta) / (2.0 * beta)
-    v = np.zeros(m.num_states)
-    for _ in range(MAX_SWEEPS):
-        v_next = step(v)
-        gap = np.abs(v_next - v).max()
-        v = v_next
-        if gap <= threshold:
-            return v
+    v, gap = np.zeros(m.num_states), np.inf
+    for _ in range(MAX_STEPS):
+        tv = step(v)
+        prev, gap = gap, np.abs(tv - v).max()
+        # Float floor: Tv carries about an ulp of rounding, so near beta=1 the
+        # threshold can sit below every gap float64 resolves. A gap of 4 ulp
+        # then certifies an error of about beta*4*ulp/(1-beta), but only as the
+        # second in a row: after a full solve, v can be ~4 ulp/(1-beta) off
+        # behind such a gap; a step taken from one refines v to the rounding
+        # of Tv.
+        if gap <= threshold or max(gap, prev) <= 4.0 * np.spacing(np.abs(tv).max()):
+            return tv
+        v = v + np.linalg.solve(np.eye(m.num_states) - beta * induced_kernel(m, policy(v)), tv - v)
     raise PlanConvergenceError(
-        f"fixed-point iteration did not reach tol={tol:g} within {MAX_SWEEPS} "
-        "sweeps; the tolerance may be below float precision"
+        f"policy iteration did not certify tol={tol:g} within MAX_STEPS={MAX_STEPS} steps"
     )
 
 
 def value_iteration(m: MDPInstance, vi_tol: float = DEFAULT_VI_TOL) -> np.ndarray:
-    """Iterate the Bellman operator from v=0 until the fixed point is within
-    ``vi_tol`` in sup norm."""
-    if vi_tol <= 0.0:
-        raise ValueError(f"vi_tol must be positive, got {vi_tol}")
-    return _fixed_point(lambda v: bellman_operator(m, v), m, vi_tol)
+    """Optimal value to within ``vi_tol`` in sup norm, by Howard policy
+    iteration over lowest-index greedy policies."""
+    if not 0.0 < vi_tol < np.inf:
+        raise ValueError(f"vi_tol must be positive and finite, got {vi_tol}")
+    return _newton(lambda v: bellman_operator(m, v),
+                   lambda v: greedy_policies(greedy_sets(m, v), m.num_actions)[0], m, vi_tol)
 
 
 def greedy_sets(m: MDPInstance, v: np.ndarray) -> list[np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import MDPInstance
-from .planning import _fixed_point, backup_values
+from .planning import _newton, backup_values
 
 FP_TOL = 1e-10
 
@@ -26,8 +26,8 @@ class SoftPlanConfig:
     temperature: float
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 def soft_bellman_operator(
@@ -49,21 +49,23 @@ def soft_value_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed point of the soft Bellman operator plus its action-value table.
 
-    The fixed point is found to within FP_TOL*max(1, temperature) in sup
-    norm. The softmax policy depends on q/temperature only, so the scaled
-    tolerance moves it no more than FP_TOL does at temperature 1, while an
-    absolute 1e-10 at temperature 1e4 would sit below the float noise floor
-    of a fixed point of order 1e5.
+    Found by soft policy iteration, which is Newton's method on the soft
+    Bellman equation (Geist, Scherrer and Pietquin, ICML 2019), to within
+    FP_TOL*max(1, temperature) in sup norm. The softmax policy depends on
+    q/temperature only, so the scaled tolerance moves it no more than FP_TOL
+    does at temperature 1, while an absolute 1e-10 at temperature 1e4 would
+    sit below the float noise floor of a fixed point of order 1e5.
     """
-    tol = FP_TOL * max(1.0, cfg.temperature)
-    v = _fixed_point(lambda u: soft_bellman_operator(m, cfg.temperature, u), m, tol)
+    lam = cfg.temperature
+    v = _newton(lambda u: soft_bellman_operator(m, lam, u),
+                lambda u: softmax_policy(backup_values(m, u), lam), m, FP_TOL * max(1.0, lam))
     return v, backup_values(m, v)
 
 
 def softmax_policy(q: np.ndarray, temperature: float) -> np.ndarray:
     """Row-wise softmax of the action values at the given temperature."""
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     z = np.asarray(q, dtype=float) / temperature
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

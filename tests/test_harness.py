@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from berknash import (
+    BanditConfig,
     ConfigError,
     SoftPlanConfig,
+    ZoomConfig,
     benchmark3,
     best_response_policy,
     config_from_dict,
@@ -18,10 +20,12 @@ from berknash import (
     load_config,
     run_experiment,
     soft_best_response,
+    softmax_policy,
     stationary_distribution,
     validate_instance,
 )
 from berknash.cli import main as cli_main
+from berknash.harness import LambdaGridConfig
 
 
 def read_csv(path):
@@ -144,6 +148,31 @@ class TestLoadConfig:
             config_from_dict({"experiment": "case-study", "mdp": {"kernel": []}})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (SoftPlanConfig, "temperature", NAN),
+    (SoftPlanConfig, "temperature", INF),
+    (BanditConfig, "learning_rate", NAN),
+    (BanditConfig, "learning_rate", INF),
+    (BanditConfig, "rollout_smoothing", NAN),
+    (BanditConfig, "loss_scale", NAN),
+    (ZoomConfig, "alpha0", NAN),
+    (ZoomConfig, "delta0", NAN),
+    (ZoomConfig, "rho0", NAN),
+    (ZoomConfig, "uncertainty_scale", NAN),
+    (ZoomConfig, "bounds", (0.0, INF)),
+    (LambdaGridConfig, "min", NAN),
+    (LambdaGridConfig, "max", INF),
+    pytest.param(lambda temperature: softmax_policy(np.zeros((1, 2)), temperature),
+                 "temperature", NAN, id="softmax_policy-temperature-nan"),
+], ids=lambda p: getattr(p, "__name__", str(p)))
+def test_api_rejects_non_finite_parameters(make, field, value):
+    with pytest.raises(ValueError, match=field):
+        make(**{field: value})
+
+
 class TestRunExperiment:
     def _cfg(self, tmp_path, kind, extra=None):
         data = {"experiment": kind, "output_dir": str(tmp_path / kind), "seed": 11}
@@ -224,8 +253,8 @@ class TestRunExperiment:
         rows = read_csv(artifacts.csv_paths["duality"])
         assert len(rows) == 4
         for r in rows:
-            assert float(r["primal_gap"]) <= 1e-7
-            assert float(r["dual_gap"]) <= 1e-8
+            assert float(r["primal_gap"]) <= 1e-12
+            assert float(r["dual_gap"]) <= 1e-12
             assert float(r["max_slackness_violation"]) <= 1e-8
             assert r["occupation_policy_greedy"] == "true"
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berknash import (
     MDPInstance,
@@ -18,7 +20,8 @@ from berknash import (
     softmax_policy,
     value_iteration,
 )
-from berknash import planning
+from berknash import planning, soft_planning
+from berknash.harness import LambdaGridConfig
 from _helpers import random_instance
 
 
@@ -116,15 +119,98 @@ class TestSoftValueIteration:
         lambda m: soft_value_iteration(m, SoftPlanConfig(temperature=0.1)),
     ], ids=["hard", "soft"])
     def test_iteration_cap_raises(self, monkeypatch, plan):
-        monkeypatch.setattr(planning, "MAX_SWEEPS", 3)
+        monkeypatch.setattr(planning, "MAX_STEPS", 1)
         rng = np.random.default_rng(5)
         m = random_instance(rng, discount=0.95)
-        with pytest.raises(PlanConvergenceError, match="3 sweeps"):
+        with pytest.raises(PlanConvergenceError, match="MAX_STEPS=1 steps"):
             plan(m)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="temperature"):
             SoftPlanConfig(temperature=0.0)
+
+    def test_benchmark3_solves_certify_in_few_backups(self, monkeypatch):
+        # Counted through the module globals each step looks the operators up
+        # in, which is also where the benchmark's tracer counts them.
+        backups = []
+        for module, name in ((soft_planning, "soft_bellman_operator"),
+                             (planning, "bellman_operator")):
+            def counted(*args, original=getattr(module, name)):
+                backups[-1] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+        m, cs = benchmark3()
+        for member in cs.members:
+            mk = m.with_kernel(member.kernel)
+            for lam in LambdaGridConfig().values():
+                backups.append(0)
+                soft_best_response(mk, SoftPlanConfig(temperature=float(lam)))
+            backups.append(0)
+            value_iteration(mk)
+        assert len(backups) == 4 * (33 + 1)
+        assert 1 <= min(backups) and max(backups) <= 8
+
+
+def long_double_oracle(m, temperature, start, target):
+    """Soft (or, for temperature None, hard) value iteration in np.longdouble
+    from ``start`` until its own a-posteriori bound beta/(1-beta)*||Tv - v||
+    is at most ``target``; returns the iterate and that bound."""
+    L = np.longdouble
+    kernel, rewards, beta = m.kernel.astype(L), m.rewards.astype(L), L(m.discount)
+    v = np.asarray(start, dtype=L)
+    for _ in range(10**5):
+        q = rewards + beta * (kernel @ v)
+        if temperature is None:
+            tv = q.max(axis=1)
+        else:
+            z = q / L(temperature)
+            top = z.max(axis=1)
+            tv = L(temperature) * (top + np.log(np.exp(z - top[:, None]).sum(axis=1)))
+        bound = beta / (1 - beta) * np.abs(tv - v).max()
+        v = tv
+        if bound <= target:
+            return v, float(bound)
+    raise AssertionError("long-double oracle did not converge")
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(2, 5),
+    num_actions=st.integers(2, 3),
+    horizon_decades=st.floats(0.3, 3.0),
+    log_temperature=st.floats(-6.0, 4.0),
+    log_eps=st.floats(-9.0, -3.0),
+)
+# accepting the first 4-ulp gap after a full solve missed the bound here
+@example(seed=291211002, num_states=2, num_actions=2, horizon_decades=3.0,
+         log_temperature=1.68, log_eps=-6.47)
+@example(seed=2841934290, num_states=5, num_actions=3, horizon_decades=3.0,
+         log_temperature=2.66, log_eps=-5.36)
+def test_corners_match_long_double_oracle(
+    seed, num_states, num_actions, horizon_decades, log_temperature, log_eps
+):
+    # beta up to 0.999, temperatures 1e-6..1e4, and kernels an eps-mixture
+    # away from the identity, whose chains are nearly reducible
+    rng = np.random.default_rng(seed)
+    beta = 1.0 - 10.0**-horizon_decades
+    eps = 10.0**log_eps
+    lam = 10.0**log_temperature
+    noise = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+    kernel = (1.0 - eps) * np.eye(num_states)[:, None, :] + eps * noise
+    rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
+    m = MDPInstance(kernel, rewards, beta, np.full(num_states, 1.0 / num_states))
+    for temperature, tol in ((lam, soft_planning.FP_TOL * max(1.0, lam)),
+                             (None, planning.DEFAULT_VI_TOL)):
+        if temperature is None:
+            v = value_iteration(m)
+        else:
+            v, _ = soft_value_iteration(m, SoftPlanConfig(temperature=temperature))
+        bound = max(tol, beta * 4.0 * np.spacing(np.abs(v).max()) / (1.0 - beta))
+        oracle, oracle_err = long_double_oracle(m, temperature, v, 0.1 * bound)
+        assert float(np.abs(v - oracle).max()) + oracle_err <= bound, temperature
 
 
 class TestSoftmaxPolicy:
