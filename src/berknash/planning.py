@@ -64,12 +64,12 @@ def _newton(step, policy, m: MDPInstance, tol: float) -> np.ndarray:
 
 
 def value_iteration(m: MDPInstance, vi_tol: float = DEFAULT_VI_TOL) -> np.ndarray:
-    """Optimal value to within ``vi_tol`` in sup norm, by Howard policy
-    iteration over lowest-index greedy policies."""
+    """Optimal value to within ``vi_tol`` in sup norm, by Howard policy iteration
+    over first exact argmaxes: they attain Tv; near ties within ACT_TOL need not."""
     if not 0.0 < vi_tol < np.inf:
         raise ValueError(f"vi_tol must be positive and finite, got {vi_tol}")
     return _newton(lambda v: bellman_operator(m, v),
-                   lambda v: greedy_policies(greedy_sets(m, v), m.num_actions)[0], m, vi_tol)
+                   lambda v: np.eye(m.num_actions)[backup_values(m, v).argmax(axis=1)], m, vi_tol)
 
 
 def greedy_sets(m: MDPInstance, v: np.ndarray) -> list[np.ndarray]:

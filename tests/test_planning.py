@@ -72,6 +72,17 @@ class TestValueIteration:
             assert sol.objective == pytest.approx(v.sum(), abs=1e-7)
             np.testing.assert_allclose(sol.x, v, atol=1e-7)
 
+    def test_near_tie_below_act_tol_converges(self):
+        # Staying in state 0 earns 1e-10 less per step than moving to the
+        # absorbing state 1, so both actions sit within ACT_TOL of the best.
+        # Policy iteration over that tolerant greedy set cycles; the exact
+        # argmax reaches v = (9, 10).
+        kernel = np.zeros((2, 2, 2))
+        kernel[0, 0, 0] = kernel[0, 1, 1] = kernel[1, :, 1] = 1.0
+        m = MDPInstance(kernel=kernel, rewards=np.array([[0.9 - 1e-10, 0.0], [1.0, 1.0]]),
+                        discount=0.9, initial_dist=[1.0, 0.0])
+        np.testing.assert_allclose(value_iteration(m), [9.0, 10.0], rtol=0, atol=1e-10)
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError, match="vi_tol"):
             value_iteration(scalar_instance(), vi_tol=0.0)
