@@ -8,14 +8,12 @@ __version__ = "0.1.0"
 from .mdp import (
     MDPInstance,
     ReducibleChainError,
-    deterministic_policy,
     induced_kernel,
     policy_value,
     state_action_frequencies,
     stationary_distribution,
     uniform_policy,
     validate_instance,
-    validate_policy,
 )
 from .models import (
     ConjectureSet,

@@ -4,8 +4,11 @@ Subcommands::
 
     berknash run <config.json>        execute an experiment config
     berknash benchmark3 [--dump]      show or dump the builtin instance
-    berknash audit-duality <config>   run the duality audit for a config
     berknash report <rundir>          summarize a finished run directory
+
+``report`` adds a per-pipeline summary: arm frequencies for a case study,
+the final parameters for zooming, and the worst primal, dual and slackness
+gaps for a duality audit.
 
 Exit codes: 0 success, 2 config/parse error, 3 validation error,
 4 runtime failure.
@@ -17,7 +20,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,24 +65,6 @@ def _cmd_benchmark3(args) -> int:
     return EXIT_OK
 
 
-def _cmd_audit_duality(args) -> int:
-    cfg = load_config(args.config)
-    audit_dir = cfg.output_dir.with_name(cfg.output_dir.name + "-duality")
-    cfg = replace(cfg, kind="duality-audit", output_dir=audit_dir)
-    artifacts = run_experiment(cfg)
-    path = artifacts.csv_paths["duality"]
-    print(f"duality audit written to {path}")
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    worst_primal = max(float(r["primal_gap"]) for r in rows)
-    worst_dual = max(float(r["dual_gap"]) for r in rows)
-    worst_slack = max(float(r["max_slackness_violation"]) for r in rows)
-    print(f"max primal gap:  {worst_primal:.3e}")
-    print(f"max dual gap:    {worst_dual:.3e}")
-    print(f"max slack abuse: {worst_slack:.3e}")
-    return EXIT_OK
-
-
 def _cmd_report(args) -> int:
     run_dir = Path(args.rundir)
     manifest_path = run_dir / "manifest.json"
@@ -107,6 +91,11 @@ def _cmd_report(args) -> int:
         if manifest["experiment"] == "zooming" and name == "param_trace":
             tail = [float(r["param"]) for r in rows[-max(1, len(rows) // 10):]]
             print(f"    median selected param, last 10%: {np.median(tail):.6g}")
+        if manifest["experiment"] == "duality-audit" and name == "duality":
+            for column, title in (("primal_gap", "max primal gap: "),
+                                  ("dual_gap", "max dual gap:   "),
+                                  ("max_slackness_violation", "max slack abuse:")):
+                print(f"    {title} {max(float(r[column]) for r in rows):.3e}")
     return EXIT_OK
 
 
@@ -125,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dump", action="store_true",
                          help="print full tables as a JSON config snippet")
     p_bench.set_defaults(func=_cmd_benchmark3)
-
-    p_audit = sub.add_parser("audit-duality", help="run the LP duality audit")
-    p_audit.add_argument("config", help="path to a JSON experiment config")
-    p_audit.set_defaults(func=_cmd_audit_duality)
 
     p_report = sub.add_parser("report", help="summarize a run directory")
     p_report.add_argument("rundir", help="directory produced by `berknash run`")

@@ -233,6 +233,8 @@ def _instance_from_spec(spec) -> MDPInstance:
 def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
     if not isinstance(spec, dict):
         raise ConfigError("conjectures: expected an object")
+    if "epsilons" in spec and "kernels" in spec:
+        raise ConfigError("conjectures: provide either 'epsilons' or 'kernels', not both")
     if "epsilons" in spec:
         epsilons = _numbers(spec["epsilons"], "conjectures.epsilons")
         try:
@@ -244,6 +246,16 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
             raise ConfigError("conjectures.kernels: expected a list of {kernel, label, param}")
         members = []
         for i, item in enumerate(spec["kernels"]):
+            field = f"conjectures.kernels[{i}]"
+            if not isinstance(item, dict):
+                raise ConfigError(f"{field}: expected an object, got {item!r}")
+            unknown = set(item) - {"kernel", "label", "param"}
+            if unknown:
+                raise ConfigError(
+                    f"unknown fields: {', '.join(f'{field}.{k}' for k in sorted(unknown))}"
+                )
+            label = _typed(item.get("label", f"model-{i}"), str, f"{field}.label")
+            param = _typed(item.get("param"), float | None, f"{field}.param")
             try:
                 kernel = np.asarray(_numbers(item["kernel"], "kernel"), dtype=float)
                 if kernel.shape != m.kernel.shape:
@@ -251,15 +263,9 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
                         f"kernel shape {kernel.shape} does not match the instance's "
                         f"{m.kernel.shape}"
                     )
-                members.append(
-                    SubjectiveKernel(
-                        kernel=kernel,
-                        label=str(item.get("label", f"model-{i}")),
-                        param=item.get("param"),
-                    )
-                )
+                members.append(SubjectiveKernel(kernel=kernel, label=label, param=param))
             except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"conjectures.kernels[{i}]: {err}") from None
+                raise ConfigError(f"{field}: {err}") from None
         return ConjectureSet(members=tuple(members))
     raise ConfigError("conjectures: provide either 'epsilons' or 'kernels'")
 
@@ -337,46 +343,6 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-PLOT_SCRIPT = """\
-#!/usr/bin/env python
-# Generic plotting helper for the CSVs in this run directory.
-# Optional: requires matplotlib (not a package dependency).
-import csv
-import sys
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-
-def is_float(s):
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
-run_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent
-for csv_path in sorted(run_dir.glob("*.csv")):
-    with open(csv_path) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        continue
-    numeric = [k for k in rows[0] if all(is_float(r[k]) for r in rows)]
-    if len(numeric) < 2:
-        continue
-    x = [float(r[numeric[0]]) for r in rows]
-    fig, ax = plt.subplots()
-    for col in numeric[1:]:
-        ax.plot(x, [float(r[col]) for r in rows], label=col)
-    ax.set_xlabel(numeric[0])
-    ax.legend()
-    ax.set_title(csv_path.name)
-    fig.savefig(csv_path.with_suffix(".png"))
-    print("wrote", csv_path.with_suffix(".png"))
-"""
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     """Dispatch to the pipeline for ``cfg.kind`` and write its artifact set."""
     start = time.perf_counter()
@@ -395,9 +361,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
         csvs = _run_duality_audit(cfg, out)
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError(f"experiment: unknown kind {cfg.kind!r}")
-
-    plot_path = out / "plot.py"
-    plot_path.write_text(PLOT_SCRIPT)
 
     manifest_path = out / "manifest.json"
     manifest = {

@@ -227,36 +227,24 @@ def prune(
     return np.array(kept, dtype=int), pruned
 
 
-def refine(params, radius: float, grid_size: int, bounds, existing=()) -> list:
+def refine(params, radius: float, grid_size: int, bounds, existing=()) -> list[float]:
     """Evenly spaced local grids around each parameter, clipped to bounds.
 
-    Scalar parameters get ``grid_size`` points on the clipped interval;
-    vector parameters get the axis-aligned product grid. Points within
-    1e-12 of an existing or already-emitted parameter are dropped.
+    Each parameter gets ``grid_size`` points on its clipped interval. Points
+    within 1e-12 of an existing or already-emitted parameter are dropped.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     lo_b, hi_b = bounds
-    seen = [np.atleast_1d(np.asarray(p, dtype=float)) for p in existing]
-    out: list = []
-
-    def is_new(vec) -> bool:
-        for other in seen:
-            if other.shape == vec.shape and np.abs(other - vec).max() <= DEDUPE_TOL:
-                return False
-        return True
-
+    seen = [float(p) for p in existing]
+    out: list[float] = []
     for p in params:
-        vec = np.atleast_1d(np.asarray(p, dtype=float))
-        scalar = np.isscalar(p) or np.ndim(p) == 0
-        lo = np.maximum(np.atleast_1d(lo_b), vec - radius)
-        hi = np.minimum(np.atleast_1d(hi_b), vec + radius)
-        axes = [np.linspace(lo[i], hi[i], grid_size) for i in range(vec.size)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, vec.size)
-        for point in mesh:
-            if is_new(point):
+        p = float(p)
+        for point in np.linspace(max(lo_b, p - radius), min(hi_b, p + radius), grid_size):
+            point = float(point)
+            if all(abs(point - other) > DEDUPE_TOL for other in seen):
                 seen.append(point)
-                out.append(float(point[0]) if scalar else point.copy())
+                out.append(point)
     return out
 
 
@@ -306,8 +294,8 @@ class ZoomConfig:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
         if self.initial_grid < 1:
             raise ValueError(f"initial_grid must be >= 1, got {self.initial_grid}")
-        lo, hi = np.asarray(self.bounds[0]), np.asarray(self.bounds[1])
-        if not np.all((-np.inf < lo) & (lo < hi) & (hi < np.inf)):
+        lo, hi = self.bounds
+        if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds}")
 
     def alpha(self, t: int) -> float:
@@ -445,11 +433,7 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
         # rho ball; points closer than rho/2 to an existing arm add
         # no resolution and would let the set grow without bound.
         for pp in fresh:
-            gap = min(
-                np.abs(np.atleast_1d(pp) - np.atleast_1d(qq)).max()
-                for qq in kept_params + added
-            )
-            if gap >= 0.5 * rho:
+            if min(abs(pp - qq) for qq in kept_params + added) >= 0.5 * rho:
                 added.append(pp)
 
     event = ZoomEvent(
@@ -521,37 +505,30 @@ def run_zoom_exp3(
     best response are computed on its first pull, so arms pruned unpulled
     cost no planning.
     """
-    params = [float(p) if np.ndim(p) == 0 else np.asarray(p, float) for p in initial_params]
+    params = [float(p) for p in initial_params]
     if not params:
         raise ValueError("initial conjecture set must be nonempty")
 
-    arms: dict = {}  # hashable param -> (conjecture, policy)
-    oracle_cache: dict = {}
-
-    def key(p):
-        return float(p) if np.ndim(p) == 0 else tuple(np.asarray(p, float))
+    arms: dict[float, tuple] = {}  # param -> (conjecture, policy)
+    oracle_cache: dict[float, float] = {}
 
     def arm_for(p):
-        k = key(p)
-        if k not in arms:
+        if p not in arms:
             q = family(p)
-            arms[k] = (q, soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0])
-        return arms[k]
+            arms[p] = (q, soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0])
+        return arms[p]
 
     def oracle_for(p):
-        k = key(p)
-        if k not in oracle_cache:
-            oracle_cache[k] = oracle_loss(m, *arm_for(p), loss_scale)
-        return oracle_cache[k]
+        if p not in oracle_cache:
+            oracle_cache[p] = oracle_loss(m, *arm_for(p), loss_scale)
+        return oracle_cache[p]
 
     loss_scale = resolve_loss_scale(m, [arm_for(p)[0] for p in params], cfg)
     run = _bandit_loop(m, params, arm_for, oracle_for, cfg, loss_scale, zoom_cfg)
 
     return ZoomRunRecord(
         loss_scale=loss_scale,
-        selected_params=np.array(
-            [p if np.ndim(p) == 0 else np.nan for p in run.pulled], dtype=float
-        ),
+        selected_params=np.array(run.pulled, dtype=float),
         probs=run.probs,
         losses=run.losses,
         running_mean=run.running_mean,

@@ -112,35 +112,8 @@ def validate_instance(m: MDPInstance) -> None:
         raise ValueError(f"initial_dist sums to {total:.15g}, not 1")
 
 
-def validate_policy(pi: np.ndarray, m: MDPInstance | None = None) -> None:
-    """Check that ``pi`` is a valid ``(S, m)`` stationary randomized policy."""
-    pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 2:
-        raise ValueError(f"policy must be 2-d (states, actions), got ndim={pi.ndim}")
-    if m is not None and pi.shape != (m.num_states, m.num_actions):
-        raise ValueError(
-            f"policy shape {pi.shape} does not match instance "
-            f"({m.num_states}, {m.num_actions})"
-        )
-    if np.any(pi < 0.0):
-        x, a = np.argwhere(pi < 0.0)[0]
-        raise ValueError(f"policy negative at (x={x}, a={a})")
-    off = np.abs(pi.sum(axis=1) - 1.0)
-    if np.any(off > ROW_SUM_TOL):
-        x = int(np.argmax(off))
-        raise ValueError(f"policy row x={x} sums to {pi[x].sum():.15g}, not 1")
-
-
 def uniform_policy(num_states: int, num_actions: int) -> np.ndarray:
     return np.full((num_states, num_actions), 1.0 / num_actions)
-
-
-def deterministic_policy(actions, num_actions: int) -> np.ndarray:
-    """Policy placing all mass on ``actions[x]`` in each state ``x``."""
-    actions = np.asarray(actions, dtype=int)
-    pi = np.zeros((actions.shape[0], num_actions))
-    pi[np.arange(actions.shape[0]), actions] = 1.0
-    return pi
 
 
 def induced_kernel(m: MDPInstance, pi: np.ndarray) -> np.ndarray:

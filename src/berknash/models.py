@@ -13,14 +13,13 @@ from .mdp import MDPInstance, ROW_SUM_TOL, state_action_frequencies
 class SubjectiveKernel:
     """One conjectured transition kernel, tagged with a parameter descriptor.
 
-    ``param`` is the point in parameter space that produced the kernel
-    (a scalar for mixture families, a vector for box grids, or None for
-    arbitrary tabular conjectures).
+    ``param`` is the parameter value that produced the kernel (the mixture
+    weight for mixture families), or None for arbitrary tabular conjectures.
     """
 
     kernel: np.ndarray
     label: str
-    param: float | np.ndarray | None = None
+    param: float | None = None
 
     def __post_init__(self):
         kernel = np.ascontiguousarray(np.asarray(self.kernel, dtype=float))
@@ -55,9 +54,6 @@ class ConjectureSet:
 
     def __iter__(self):
         return iter(self.members)
-
-    def params(self) -> list:
-        return [mem.param for mem in self.members]
 
 
 def kl_divergence(nu: np.ndarray, mu: np.ndarray) -> float | np.ndarray:

@@ -89,16 +89,10 @@ def greedy_policies(sets: list[np.ndarray], num_actions: int) -> tuple[np.ndarra
     return lowest, uniform
 
 
-def best_response_policy(m: MDPInstance, tie_rule: str = "lowest") -> np.ndarray:
-    """Subjectively optimal stationary policy under ``m``'s kernel.
-
-    ``tie_rule`` "lowest" picks the smallest greedy action index (the
-    reproducible default); "uniform" spreads evenly over the greedy set.
-    """
-    if tie_rule not in ("lowest", "uniform"):
-        raise ValueError(f"unknown tie_rule {tie_rule!r}")
-    lowest, uniform = greedy_policies(greedy_sets(m, value_iteration(m)), m.num_actions)
-    return lowest if tie_rule == "lowest" else uniform
+def best_response_policy(m: MDPInstance) -> np.ndarray:
+    """Subjectively optimal deterministic policy under ``m``'s kernel, taking
+    the smallest greedy action index in each state."""
+    return greedy_policies(greedy_sets(m, value_iteration(m)), m.num_actions)[0]
 
 
 def _flow_rows(m: MDPInstance) -> np.ndarray:

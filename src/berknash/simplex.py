@@ -83,18 +83,6 @@ class LinearProgram:
     def num_rows(self) -> int:
         return self.rhs.shape[0]
 
-    def dump(self) -> str:
-        """Plain-text canonical form (objective row, then constraint rows)."""
-        goal = "max" if self.maximize else "min"
-        lines = [f"{goal} " + " ".join(f"{c:.17g}" for c in self.objective)]
-        for row, sense, rhs in zip(self.constraints, self.senses, self.rhs):
-            lines.append(" ".join(f"{v:.17g}" for v in row) + f" {sense} {rhs:.17g}")
-        lines.append(
-            "lb " + " ".join("free" if lo == -np.inf else f"{lo:.17g}"
-                             for lo in self.lower_bounds)
-        )
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class SimplexSolution:

@@ -14,7 +14,6 @@ from berknash import (
     benchmark3,
     best_response_policy,
     config_from_dict,
-    deterministic_policy,
     entropy_bn_select,
     induced_kernel,
     load_config,
@@ -46,12 +45,12 @@ class TestBenchmark3:
         m, cs = benchmark3()
         validate_instance(m)
         assert len(cs) == 4
-        assert cs.params() == [0.05, 0.15, 0.30, 0.45]
+        assert [q.param for q in cs] == [0.05, 0.15, 0.30, 0.45]
 
     def test_irreducible_under_both_deterministic_policies(self):
         m, _ = benchmark3()
         for a in (0, 1):
-            pi = deterministic_policy([a] * 3, 2)
+            pi = np.eye(2)[[a] * 3]
             mu = stationary_distribution(induced_kernel(m, pi))
             assert mu.min() > 0.0
 
@@ -194,6 +193,8 @@ class TestRunExperiment:
         manifest = json.loads(artifacts.manifest_path.read_text())
         assert manifest["seed"] == 11
         assert manifest["config"]["bandit"]["horizon"] == 300
+        written = sorted(p.name for p in artifacts.output_dir.iterdir())
+        assert written == ["frequencies.csv", "loss_trace.csv", "manifest.json"]
 
     def test_case_study_frequencies_normalized_any_seed(self, tmp_path):
         cfg = config_from_dict({
@@ -326,11 +327,6 @@ class TestRunExperiment:
         assert artifacts.output_dir == override
         assert (override / "manifest.json").exists()
 
-    def test_plot_helper_emitted(self, tmp_path):
-        cfg = self._cfg(tmp_path, "duality-audit")
-        artifacts = run_experiment(cfg)
-        assert (artifacts.output_dir / "plot.py").exists()
-
 
 class TestCLI:
     def test_run_and_report(self, tmp_path, capsys):
@@ -359,14 +355,22 @@ class TestCLI:
         assert cli_main(["benchmark3"]) == 0
         assert "3 states" in capsys.readouterr().out
 
-    def test_audit_duality_command(self, tmp_path, capsys):
+    def test_report_duality_audit_prints_worst_gaps(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "audit"
         cfg_path.write_text(json.dumps({
-            "experiment": "case-study",
-            "output_dir": str(tmp_path / "audit"),
+            "experiment": "duality-audit",
+            "output_dir": str(out_dir),
         }))
-        assert cli_main(["audit-duality", str(cfg_path)]) == 0
-        assert "max dual gap" in capsys.readouterr().out
+        assert cli_main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        rows = read_csv(out_dir / "duality.csv")
+        for title, column in (("max primal gap", "primal_gap"), ("max dual gap", "dual_gap"),
+                              ("max slack abuse", "max_slackness_violation")):
+            worst = max(float(r[column]) for r in rows)
+            assert re.search(rf"{title}: +{re.escape(f'{worst:.3e}')}", out)
 
     @pytest.mark.parametrize(
         "text, field",
@@ -433,6 +437,32 @@ class TestCLI:
             (json.dumps({"experiment": "case-study",
                          "mdp": {**INLINE_MDP, "rewards": [[float("nan"), 0.0], [0.5, 2.0]]}}),
              "mdp.rewards"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "param": {"a": 1}}]}}),
+             "conjectures.kernels[0].param"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "param": [0.1, 0.2]}]}}),
+             "conjectures.kernels[0].param"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "param": "0.1"}]}}),
+             "conjectures.kernels[0].param"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "param": True}]}}),
+             "conjectures.kernels[0].param"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "param": float("nan")}]}}),
+             "conjectures.kernels[0].param"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "label": 7}]}}),
+             "conjectures.kernels[0].label"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "lable": "a"}]}}),
+             "conjectures.kernels[0].lable"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "epsilons": [0.1], "kernels": [{"kernel": INLINE_MDP["kernel"]}]}}),
+             "conjectures: provide either 'epsilons' or 'kernels', not both"),
+            (json.dumps({"experiment": "case-study", "conjectures": {"kernels": ["ab"]}}),
+             "conjectures.kernels[0]: expected an object"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -442,7 +472,9 @@ class TestCLI:
              "bandit-rng-seed", "learning-rate-str", "initial-grid-float",
              "soft-not-object", "discount-str", "rewards-str-bool", "kernel-scalar",
              "epsilons-str", "epsilons-bool", "kernels-str", "learning-rate-inf",
-             "lambda-max-inf", "temperature-nan", "rewards-nan"],
+             "lambda-max-inf", "temperature-nan", "rewards-nan", "param-object",
+             "param-list", "param-str", "param-bool", "param-nan", "label-int",
+             "kernel-item-typo", "epsilons-and-kernels", "kernel-item-str"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)

@@ -291,14 +291,6 @@ class TestRefine:
             pts = refine([center], radius, 5, (0.0, 0.5))
             assert all(0.0 <= p <= 0.5 for p in pts)
 
-    def test_vector_parameters_axis_aligned(self):
-        pts = refine([np.array([0.2, 0.4])], radius=0.1, grid_size=2,
-                     bounds=(0.0, 0.5))
-        assert len(pts) == 4
-        stacked = np.array(pts)
-        assert stacked.shape == (4, 2)
-        assert stacked.min() >= 0.0 and stacked.max() <= 0.5
-
     def test_grid_size_validated(self):
         with pytest.raises(ValueError, match="grid_size"):
             refine([0.1], 0.05, 1, (0.0, 0.5))

@@ -4,7 +4,6 @@ import pytest
 from berknash import (
     MDPInstance,
     ReducibleChainError,
-    deterministic_policy,
     induced_kernel,
     policy_from_occupation,
     policy_value,
@@ -12,7 +11,6 @@ from berknash import (
     stationary_distribution,
     uniform_policy,
     validate_instance,
-    validate_policy,
 )
 from _helpers import power_iteration_stationary, random_instance, random_policy, truncated_series_value
 
@@ -79,7 +77,7 @@ class TestValidateInstance:
 class TestInducedKernel:
     def test_deterministic_policy_selects_action_rows(self):
         m = two_state_instance()
-        pi = deterministic_policy([0, 0], m.num_actions)
+        pi = np.eye(m.num_actions)[[0, 0]]
         np.testing.assert_array_equal(induced_kernel(m, pi), m.kernel[:, 0, :])
 
     def test_even_mixture_of_point_masses(self):
@@ -156,7 +154,7 @@ class TestStationaryDistribution:
 class TestStateActionFrequencies:
     def test_deterministic_policy_indicator_split(self):
         m = two_state_instance()
-        pi = deterministic_policy([0, 1], m.num_actions)
+        pi = np.eye(m.num_actions)[[0, 1]]
         d = state_action_frequencies(m, pi)
         mu = stationary_distribution(induced_kernel(m, pi))
         np.testing.assert_allclose(d[:, 0], [mu[0], 0.0], atol=1e-14)
@@ -225,10 +223,3 @@ class TestPolicyValue:
             residual = (np.eye(4) - m.discount * Kpi) @ v - rpi
             assert np.abs(residual).max() <= 1e-10
 
-
-def test_validate_policy_catches_bad_rows():
-    with pytest.raises(ValueError, match="row x=1"):
-        validate_policy(np.array([[0.5, 0.5], [0.7, 0.6]]))
-    with pytest.raises(ValueError, match="negative"):
-        validate_policy(np.array([[1.2, -0.2], [0.5, 0.5]]))
-    validate_policy(uniform_policy(3, 4))

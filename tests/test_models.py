@@ -226,7 +226,7 @@ class TestMixtureFamily:
         m = random_instance(rng)
         cs = mixture_family(m, [0.05, 0.15, 0.30, 0.45])
         assert [q.label for q in cs] == ["eps=0.05", "eps=0.15", "eps=0.3", "eps=0.45"]
-        assert cs.params() == [0.05, 0.15, 0.30, 0.45]
+        assert [q.param for q in cs] == [0.05, 0.15, 0.30, 0.45]
 
     def test_duplicate_labels_rejected(self):
         rng = np.random.default_rng(16)

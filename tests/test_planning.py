@@ -8,7 +8,9 @@ from berknash import (
     best_response_policy,
     build_dual_lp,
     build_primal_lp,
+    enumerate_equilibria,
     greedy_sets,
+    mixture_family,
     occupation_of_policy,
     policy_from_occupation,
     simplex_solve,
@@ -132,16 +134,16 @@ class TestBestResponsePolicy:
         )
 
     def test_lowest_index_tie_rule(self):
-        pi = best_response_policy(self._tied_instance(), tie_rule="lowest")
+        pi = best_response_policy(self._tied_instance())
         np.testing.assert_array_equal(pi, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_uniform_tie_rule(self):
-        pi = best_response_policy(self._tied_instance(), tie_rule="uniform")
-        np.testing.assert_allclose(pi, np.full((2, 2), 0.5))
-
-    def test_unknown_tie_rule(self):
-        with pytest.raises(ValueError, match="tie_rule"):
-            best_response_policy(self._tied_instance(), tie_rule="coin-flip")
+        # the uniform tie-break is a hard-mode equilibrium candidate
+        m = self._tied_instance()
+        report = enumerate_equilibria(m, mixture_family(m, [0.1]), mode="hard")
+        uniform = [d for d in report.diagnostics if d.policy_kind == "br-uniform"]
+        assert len(uniform) == 1 and uniform[0].tie_states == 2
+        np.testing.assert_allclose(uniform[0].policy, np.full((2, 2), 0.5))
 
 
 class TestPrimalLP:

@@ -178,22 +178,6 @@ def test_mixed_senses_against_vertex_oracle():
         assert sol.objective == pytest.approx(oracle, abs=1e-8)
 
 
-def test_dump_round_trips_shape():
-    lp = LinearProgram(
-        objective=[1.0, -2.0],
-        constraints=[[1.0, 1.0]],
-        rhs=[1.0],
-        senses=("<=",),
-        lower_bounds=[0.0, -np.inf],
-        maximize=True,
-    )
-    text = lp.dump()
-    lines = text.splitlines()
-    assert lines[0].startswith("max")
-    assert "<=" in lines[1]
-    assert lines[-1] == "lb 0 free"
-
-
 def test_dimension_validation():
     with pytest.raises(ValueError, match="inconsistent dimensions"):
         LinearProgram(

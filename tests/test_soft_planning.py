@@ -99,9 +99,14 @@ class TestSoftValueIteration:
         m = random_instance(rng, num_states=3, num_actions=2, discount=0.9)
         cfg = SoftPlanConfig(temperature=0.1)
         v, _ = soft_value_iteration(m, cfg)
+        # iterate to a bitwise fixed point of the float64 backup, capped at 1e5
         oracle = np.zeros(3)
         for _ in range(10**5):
-            oracle = soft_bellman_operator(m, 0.1, oracle)
+            nxt = soft_bellman_operator(m, 0.1, oracle)
+            if np.array_equal(nxt, oracle):
+                break
+            oracle = nxt
+        assert np.array_equal(soft_bellman_operator(m, 0.1, oracle), oracle)
         np.testing.assert_allclose(v, oracle, atol=1e-9)
 
     def test_value_sandwich_against_hard_planner(self):
