@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is asserted exactly as stated, including runtime caps.
 """
 
+import csv
+import io
+import json
 import math
 import time
 
@@ -43,6 +46,7 @@ from berknash import (
     stationary_distribution,
     value_iteration,
 )
+from berknash.cli import main as cli_main
 from berknash.planning import backup_values, build_dual_lp, build_primal_lp
 from berknash.soft_planning import soft_best_response as _sbr
 from _helpers import power_iteration_stationary, random_instance
@@ -53,6 +57,10 @@ from _helpers import power_iteration_stationary, random_instance
 # so reproduction is byte-identical.
 FROZEN_CASE_STUDY_COUNTS = (1470, 17, 8, 5)
 FROZEN_CASE_STUDY_SEED = 11
+# The same case study in rollout mode, run through `berknash run` with
+# loss_scale=0.5, horizon=40, learning_rate=0.1, exploration=0.1 and the
+# default rollout_horizon (the `bench3-rollout` benchmark config).
+FROZEN_ROLLOUT_COUNTS = (19, 10, 6, 5)
 
 
 def _finish(n, name, start, limit, problems):
@@ -376,6 +384,49 @@ def test_criterion_9_case_study(bench, case_study_record):
             f"frozen-seed counts {counts} != baseline {FROZEN_CASE_STUDY_COUNTS}"
         )
     _finish(9, "case-study reproduction", start, 120.0, problems)
+
+
+def _cli_run(tmp_path, name, config):
+    """Run ``config`` through ``berknash run``; return its CSVs by file name."""
+    out = tmp_path / name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**config, "output_dir": str(out)}))
+    assert cli_main(["run", str(path)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
+def _csv_rows(data):
+    return list(csv.DictReader(io.StringIO(data.decode())))
+
+
+def test_rollout_case_study_end_to_end(tmp_path, monkeypatch):
+    monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
+    csvs = _cli_run(tmp_path, "rollout", {
+        "experiment": "case-study", "seed": FROZEN_CASE_STUDY_SEED,
+        "bandit": {"loss_estimator": "rollout", "loss_scale": 0.5, "horizon": 40,
+                   "learning_rate": 0.1, "exploration": 0.1},
+    })
+    counts = tuple(int(r["count"]) for r in _csv_rows(csvs["frequencies.csv"]))
+    assert counts == FROZEN_ROLLOUT_COUNTS
+    losses = [float(r["loss"]) for r in _csv_rows(csvs["loss_trace.csv"])]
+    assert len(losses) == 40
+    assert all(0.0 <= loss <= 1.0 for loss in losses)
+
+
+def test_rollout_zooming_end_to_end(tmp_path, monkeypatch):
+    monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
+    config = {
+        "experiment": "zooming", "seed": FROZEN_CASE_STUDY_SEED,
+        "bandit": {"loss_estimator": "rollout", "loss_scale": 0.5, "horizon": 60,
+                   "rollout_horizon": 2000},
+        "zoom": {"zoom_interval": 20},
+    }
+    first = _cli_run(tmp_path, "a", config)
+    assert _cli_run(tmp_path, "b", config) == first
+    sizes = [int(r["num_arms"]) for r in _csv_rows(first["set_size.csv"])]
+    assert sizes == [6] * 20 + [3] * 20 + [4] * 20
+    losses = [float(r["loss"]) for r in _csv_rows(first["param_trace.csv"])]
+    assert all(0.0 <= loss <= 1.0 for loss in losses)
 
 
 def test_criterion_10_lambda_sweep(bench, tmp_path):

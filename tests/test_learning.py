@@ -12,6 +12,7 @@ from berknash import (
     ZoomConfig,
     benchmark3,
     exp3_update,
+    kl_divergence,
     mixture_kernel,
     oracle_loss,
     prune,
@@ -121,6 +122,78 @@ class TestLossEstimation:
         m, cs = two_cycle_instance()
         with pytest.raises(ValueError, match="loss_scale"):
             resolve_loss_scale(m, cs.members, BanditConfig(loss_estimator="rollout"))
+
+
+def _rollout_loss_reference(m, q, pi, cfg, loss_scale, rng):
+    """The per-step ``np.searchsorted`` walk, kept as the reference that
+    ``rollout_loss`` must reproduce bit for bit from the same generator."""
+    S, A = m.num_states, m.num_actions
+    H = cfg.rollout_horizon
+    burn_in = H // 10
+    alpha = cfg.rollout_smoothing
+    cum_pi = np.cumsum(np.asarray(pi, dtype=float), axis=1)
+    cum_kernel = np.cumsum(m.kernel, axis=2)
+    cum_init = np.cumsum(m.initial_dist)
+    u = rng.random((H, 2))
+    counts = np.zeros((S, A, S))
+    x = min(int(np.searchsorted(cum_init, rng.random(), side="right")), S - 1)
+    for t in range(H):
+        a = min(int(np.searchsorted(cum_pi[x], u[t, 0], side="right")), A - 1)
+        y = min(int(np.searchsorted(cum_kernel[x, a], u[t, 1], side="right")), S - 1)
+        if t >= burn_in:
+            counts[x, a, y] += 1.0
+        x = y
+    visits = counts.sum(axis=2)
+    p_hat = (counts + alpha) / (visits + S * alpha)[:, :, None]
+    Q = q.kernel
+    Q = np.where(np.any(Q <= 0.0, axis=2, keepdims=True), (Q + alpha) / (1.0 + S * alpha), Q)
+    div = float(np.sum(visits / visits.sum() * kl_divergence(p_hat, Q)))
+    return min(max(div, 0.0), loss_scale) / loss_scale
+
+
+def _rows_with_zero_tails(rng, shape):
+    """Dirichlet rows; about a third put zero mass on their last entry and
+    about a sixth are one-hot, so the inverse-CDF clip at the last index and
+    flat cumulative tails are exercised."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    flat = rows.reshape(-1, shape[-1])
+    for row in flat:
+        kind = rng.integers(6)
+        if kind < 2 and shape[-1] > 1:
+            row[-1] = 0.0
+            row /= row.sum()
+        elif kind == 2:
+            row[:] = np.eye(shape[-1])[rng.integers(shape[-1])]
+    return rows
+
+
+def _rollout_cases():
+    """(instance, conjecture, policy) triples: benchmark3 under each member's
+    soft best response, then random instances with S in 1..6 and 30."""
+    m, cs = benchmark3()
+    soft = SoftPlanConfig(temperature=0.1)
+    for q in cs:
+        pi, _, _ = soft_best_response(m.with_kernel(q.kernel), soft)
+        yield m, q, pi
+    rng = np.random.default_rng(2024)
+    for S in (1, 2, 3, 4, 5, 6, 30):
+        for A in (1, 2, 3, 4):
+            kernel = _rows_with_zero_tails(rng, (S, A, S))
+            m = MDPInstance(kernel=kernel, rewards=np.zeros((S, A)), discount=0.9,
+                            initial_dist=_rows_with_zero_tails(rng, (S,)))
+            q = SubjectiveKernel(kernel=_rows_with_zero_tails(rng, (S, A, S)), label="q")
+            yield m, q, _rows_with_zero_tails(rng, (S, A))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 11, 3000])
+def test_rollout_loss_matches_searchsorted_reference(horizon):
+    from berknash.learning import ROLLOUT_STREAM, _round_rng
+
+    cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=horizon, loss_scale=1e3)
+    for t, (m, q, pi) in enumerate(_rollout_cases(), start=1):
+        got = rollout_loss(m, q, pi, cfg, 1e3, _round_rng(11, t, ROLLOUT_STREAM))
+        want = _rollout_loss_reference(m, q, pi, cfg, 1e3, _round_rng(11, t, ROLLOUT_STREAM))
+        assert got == want, (t, m.num_states, m.num_actions)
 
 
 class TestExp3Update:
