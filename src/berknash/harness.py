@@ -189,6 +189,12 @@ def _numbers(value, field: str):
     return _typed(value, float, field)
 
 
+def _reject_unknown(spec: dict, known, prefix: str) -> None:
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown fields: {', '.join(f'{prefix}.{k}' for k in sorted(unknown))}")
+
+
 def _build(data: dict, name: str, **preset):
     """Config section ``name`` as its dataclass, its keys laid over ``preset``.
 
@@ -199,9 +205,7 @@ def _build(data: dict, name: str, **preset):
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
     cls = SECTIONS[name]
-    unknown = set(section) - set(_config_fields(cls))
-    if unknown:
-        raise ConfigError(f"unknown fields: {', '.join(f'{name}.{k}' for k in sorted(unknown))}")
+    _reject_unknown(section, _config_fields(cls), name)
     hints = typing.get_type_hints(cls)
     for key, value in section.items():
         preset[key] = _typed(value, hints[key], f"{name}.{key}")
@@ -216,7 +220,9 @@ def _instance_from_spec(spec) -> MDPInstance:
         return benchmark3()[0]
     if not isinstance(spec, dict):
         raise ConfigError(f"mdp: expected 'benchmark3' or inline tables, got {spec!r}")
-    missing = {"kernel", "rewards", "discount", "initial_dist"} - set(spec)
+    fields = {"kernel", "rewards", "discount", "initial_dist"}
+    _reject_unknown(spec, fields, "mdp")
+    missing = fields - set(spec)
     if missing:
         raise ConfigError(f"mdp: missing fields {sorted(missing)}")
     tables = {key: _numbers(spec[key], f"mdp.{key}")
@@ -233,6 +239,7 @@ def _instance_from_spec(spec) -> MDPInstance:
 def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
     if not isinstance(spec, dict):
         raise ConfigError("conjectures: expected an object")
+    _reject_unknown(spec, ("epsilons", "kernels"), "conjectures")
     if "epsilons" in spec and "kernels" in spec:
         raise ConfigError("conjectures: provide either 'epsilons' or 'kernels', not both")
     if "epsilons" in spec:
@@ -249,11 +256,7 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
             field = f"conjectures.kernels[{i}]"
             if not isinstance(item, dict):
                 raise ConfigError(f"{field}: expected an object, got {item!r}")
-            unknown = set(item) - {"kernel", "label", "param"}
-            if unknown:
-                raise ConfigError(
-                    f"unknown fields: {', '.join(f'{field}.{k}' for k in sorted(unknown))}"
-                )
+            _reject_unknown(item, ("kernel", "label", "param"), field)
             label = _typed(item.get("label", f"model-{i}"), str, f"{field}.label")
             param = _typed(item.get("param"), float | None, f"{field}.param")
             try:

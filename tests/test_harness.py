@@ -463,6 +463,11 @@ class TestCLI:
              "conjectures: provide either 'epsilons' or 'kernels', not both"),
             (json.dumps({"experiment": "case-study", "conjectures": {"kernels": ["ab"]}}),
              "conjectures.kernels[0]: expected an object"),
+            (json.dumps({"experiment": "duality-audit",
+                         "conjectures": {"epsilons": [0.1], "labels": ["x"]}}),
+             "unknown fields: conjectures.labels"),
+            (json.dumps({"experiment": "duality-audit", "mdp": {**INLINE_MDP, "rewardz": 1}}),
+             "unknown fields: mdp.rewardz"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -474,7 +479,8 @@ class TestCLI:
              "epsilons-str", "epsilons-bool", "kernels-str", "learning-rate-inf",
              "lambda-max-inf", "temperature-nan", "rewards-nan", "param-object",
              "param-list", "param-str", "param-bool", "param-nan", "label-int",
-             "kernel-item-typo", "epsilons-and-kernels", "kernel-item-str"],
+             "kernel-item-typo", "epsilons-and-kernels", "kernel-item-str",
+             "conjectures-typo", "mdp-typo"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
