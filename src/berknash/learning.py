@@ -13,6 +13,7 @@ of caching or evaluation order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,27 +149,38 @@ def rollout_loss(
     rows, and evaluates the frequency-weighted KL against the conjecture.
     Conjecture rows containing zeros are smoothed the same way so the
     plug-in stays finite.
+
+    Each step samples by inverse CDF from pre-drawn uniforms: the action and
+    the next state are ``bisect_right`` on a cumulative row, held as a
+    Python list so a step makes no numpy call. Every row's last entry is
+    replaced by ``inf``; since the uniforms are below 1, this clips a draw
+    that lands past a cumulative sum rounded below 1 to the last index.
     """
     S, A = m.num_states, m.num_actions
     H = cfg.rollout_horizon
     burn_in = H // 10
     alpha = cfg.rollout_smoothing
 
-    # Inverse-CDF sampling with pre-drawn uniforms: orders of magnitude
-    # faster than per-step rng.choice at these horizons.
     cum_pi = np.cumsum(np.asarray(pi, dtype=float), axis=1)
     cum_kernel = np.cumsum(m.kernel, axis=2)
     cum_init = np.cumsum(m.initial_dist)
     u = rng.random((H, 2))
-
-    counts = np.zeros((S, A, S))
     x = min(int(np.searchsorted(cum_init, rng.random(), side="right")), S - 1)
-    for t in range(H):
-        a = min(int(np.searchsorted(cum_pi[x], u[t, 0], side="right")), A - 1)
-        y = min(int(np.searchsorted(cum_kernel[x, a], u[t, 1], side="right")), S - 1)
-        if t >= burn_in:
-            counts[x, a, y] += 1.0
+
+    cum_pi[:, -1] = np.inf
+    cum_kernel[:, :, -1] = np.inf
+    cum_pi, cum_kernel = cum_pi.tolist(), cum_kernel.tolist()
+    u_act, u_next = memoryview(u[:, 0].copy()), memoryview(u[:, 1].copy())
+    for ua, uy in zip(u_act[:burn_in], u_next[:burn_in]):
+        a = bisect_right(cum_pi[x], ua)
+        x = bisect_right(cum_kernel[x][a], uy)
+    flat = [0] * (S * A * S)
+    for ua, uy in zip(u_act[burn_in:], u_next[burn_in:]):
+        a = bisect_right(cum_pi[x], ua)
+        y = bisect_right(cum_kernel[x][a], uy)
+        flat[(x * A + a) * S + y] += 1
         x = y
+    counts = np.array(flat, dtype=float).reshape(S, A, S)
 
     visits = counts.sum(axis=2)
     p_hat = (counts + alpha) / (visits + S * alpha)[:, :, None]
