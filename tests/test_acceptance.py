@@ -440,10 +440,8 @@ def test_criterion_10_lambda_sweep(bench, tmp_path):
     })
     artifacts = run_experiment(cfg)
 
-    import csv as _csv
-
     with open(artifacts.csv_paths["sweep"]) as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     lams = sorted({float(r["lambda"]) for r in rows})
     pi_at = {}
     v_reward = {}
