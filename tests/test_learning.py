@@ -24,7 +24,7 @@ from berknash import (
     soft_best_response,
     uncertainty,
 )
-from berknash.learning import resolve_loss_scale
+from berknash.learning import ROLLOUT_STREAM, _round_rng, resolve_loss_scale
 
 
 def two_cycle_instance():
@@ -187,13 +187,39 @@ def _rollout_cases():
 
 @pytest.mark.parametrize("horizon", [1, 2, 11, 3000])
 def test_rollout_loss_matches_searchsorted_reference(horizon):
-    from berknash.learning import ROLLOUT_STREAM, _round_rng
-
     cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=horizon, loss_scale=1e3)
     for t, (m, q, pi) in enumerate(_rollout_cases(), start=1):
         got = rollout_loss(m, q, pi, cfg, 1e3, _round_rng(11, t, ROLLOUT_STREAM))
         want = _rollout_loss_reference(m, q, pi, cfg, 1e3, _round_rng(11, t, ROLLOUT_STREAM))
         assert got == want, (t, m.num_states, m.num_actions)
+
+
+class _FixedUniforms:
+    """Stands in for the generator: ``random((H, 2))`` returns ``u``, and
+    ``random()`` the largest float below 1."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u.copy() if size is not None else np.nextafter(1.0, 0.0)
+
+
+def test_rollout_loss_clips_and_breaks_ties_like_searchsorted():
+    # cumsum([0.7, 0.1, 0.1, 0.1]) ends at 1 - 2**-53, so the largest
+    # uniform lands past every entry and must be clipped to the last index;
+    # a uniform equal to an entry (0.7) must fall to its right.
+    row = [0.7, 0.1, 0.1, 0.1]
+    m = MDPInstance(kernel=np.tile(row, (4, 4, 1)), rewards=np.zeros((4, 4)),
+                    discount=0.9, initial_dist=row)
+    q = SubjectiveKernel(kernel=np.full((4, 4, 4), 0.25), label="uniform")
+    pi = np.tile(row, (4, 1))
+    u = np.random.default_rng(5).random((40, 2))
+    u[::3] = np.nextafter(1.0, 0.0)
+    u[1::3] = 0.7
+    cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=40, loss_scale=1e3)
+    got = rollout_loss(m, q, pi, cfg, 1e3, _FixedUniforms(u))
+    assert got == _rollout_loss_reference(m, q, pi, cfg, 1e3, _FixedUniforms(u))
 
 
 class TestExp3Update:
