@@ -287,6 +287,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"experiment: must be one of {EXPERIMENT_KINDS}, got {kind!r}"
         )
     seed = _typed(data.get("seed", 11), int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: must be a non-negative integer, got {seed}")
 
     specs = {
         "mdp": data.get("mdp", "benchmark3"),

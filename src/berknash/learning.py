@@ -8,13 +8,17 @@ and refines a local grid around the promising ones.
 Randomness discipline: every random draw comes from a generator seeded by
 (seed, round, stream), with stream 0 for arm sampling and stream 1 for
 rollout simulation. Traces are therefore bit-reproducible and independent
-of caching or evaluation order.
+of caching or evaluation order. The stream-0 draws do not depend on the
+weights, so they are computed for all rounds in one batch before the loop
+(:func:`_arm_uniforms`); they are the same numbers that per-round
+generators would give.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -26,10 +30,86 @@ from .soft_planning import SoftPlanConfig, soft_best_response
 ARM_STREAM = 0
 ROLLOUT_STREAM = 1
 DEDUPE_TOL = 1e-12
+# Generator.choice's tolerance on the sum of its probabilities
+P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 def _round_rng(seed: int, t: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(t), stream]))
+
+
+def _arm_uniforms(seed: int, horizon: int) -> list[float]:
+    """``_round_rng(seed, t, ARM_STREAM).random()`` for t = 1..horizon, bit for bit.
+
+    Replays numpy's ``SeedSequence`` entropy mixing into its pool of four
+    uint32 words, vectorized over t (entropy: the seed's little-endian 32-bit
+    words, then t, then the stream). The pool's eight output words seed
+    PCG64, whose first XSL-RR output is taken with Python integers and
+    turned into a double as ``Generator.random`` does. Needs seed >= 0 and
+    horizon < 2**32, so that t is one word.
+    """
+    seed, n = int(seed), horizon
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n, w, np.uint32) for w in words]
+    entropy += [np.arange(1, n + 1, dtype=np.uint32), np.full(n, ARM_STREAM, np.uint32)]
+
+    def hasher(h, mult):
+        def hashmix(v):
+            nonlocal h
+            v = v ^ np.uint32(h)
+            h = h * mult & _MASK32
+            v = v * np.uint32(h)
+            return v ^ (v >> 16)
+        return hashmix
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> 16)
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(src))
+    hashmix = hasher(_INIT_B, _MULT_B)
+    # generate_state(4, uint64): eight words, paired little-endian
+    seeds = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8")
+
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
+        # seeding steps from state 0, adds the seed and steps again;
+        # random() steps once more and outputs XSL-RR of the state
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append((x >> 11) * 2.0**-53)
+    return out
+
+
+def _draw_arm(p: list[float], u: float) -> int:
+    """The arm ``Generator.choice(len(p), p=p)`` draws when its uniform is ``u``.
+
+    This is choice's own algorithm: a right-sided search of ``u`` in the
+    cumulative sum divided by its last entry, after the same check of ``p``.
+    """
+    cdf = list(accumulate(p))
+    if min(p) < 0.0 or not abs(cdf[-1] - 1.0) <= P_SUM_TOL:
+        raise ValueError(f"arm probabilities must be non-negative and sum to 1, got {p}")
+    total = cdf[-1]
+    return bisect_right([c / total for c in cdf], u)
 
 
 @dataclass(frozen=True)
@@ -71,6 +151,8 @@ class BanditConfig:
             )
         if self.loss_scale is not None and not 0.0 < self.loss_scale < np.inf:
             raise ValueError(f"loss_scale must be positive and finite, got {self.loss_scale}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def sampling_distribution(weights: np.ndarray, exploration: float) -> np.ndarray:
@@ -375,10 +457,10 @@ def _bandit_loop(
     rounds: list[tuple] = []  # (key, prob, loss, set size)
     events: list[ZoomEvent] = []
 
-    for t in range(1, cfg.horizon + 1):
+    for t, u in enumerate(_arm_uniforms(cfg.rng_seed, cfg.horizon), start=1):
         K = len(keys)
         p = sampling_distribution(weights, cfg.exploration)
-        arm = int(_round_rng(cfg.rng_seed, t, ARM_STREAM).choice(K, p=p))
+        arm = _draw_arm(p.tolist(), u)
         if cfg.loss_estimator == "oracle":
             loss = oracle_for(keys[arm])
         else:

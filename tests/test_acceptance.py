@@ -61,6 +61,11 @@ FROZEN_CASE_STUDY_SEED = 11
 # loss_scale=0.5, horizon=40, learning_rate=0.1, exploration=0.1 and the
 # default rollout_horizon (the `bench3-rollout` benchmark config).
 FROZEN_ROLLOUT_COUNTS = (19, 10, 6, 5)
+# Both case studies at a seed of two 32-bit words, which runs the multi-word
+# path of the batched arm draws end to end.
+FROZEN_MULTIWORD_SEED = 2**32 + 3
+FROZEN_MULTIWORD_COUNTS = (1470, 16, 9, 5)
+FROZEN_MULTIWORD_ROLLOUT_COUNTS = (13, 12, 8, 7)
 
 
 def _finish(n, name, start, limit, problems):
@@ -399,18 +404,31 @@ def _csv_rows(data):
     return list(csv.DictReader(io.StringIO(data.decode())))
 
 
+ROLLOUT_BANDIT = {"loss_estimator": "rollout", "loss_scale": 0.5, "horizon": 40,
+                  "learning_rate": 0.1, "exploration": 0.1}
+
+
+def _counts(csvs):
+    return tuple(int(r["count"]) for r in _csv_rows(csvs["frequencies.csv"]))
+
+
 def test_rollout_case_study_end_to_end(tmp_path, monkeypatch):
     monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
     csvs = _cli_run(tmp_path, "rollout", {
-        "experiment": "case-study", "seed": FROZEN_CASE_STUDY_SEED,
-        "bandit": {"loss_estimator": "rollout", "loss_scale": 0.5, "horizon": 40,
-                   "learning_rate": 0.1, "exploration": 0.1},
+        "experiment": "case-study", "seed": FROZEN_CASE_STUDY_SEED, "bandit": ROLLOUT_BANDIT,
     })
-    counts = tuple(int(r["count"]) for r in _csv_rows(csvs["frequencies.csv"]))
-    assert counts == FROZEN_ROLLOUT_COUNTS
+    assert _counts(csvs) == FROZEN_ROLLOUT_COUNTS
     losses = [float(r["loss"]) for r in _csv_rows(csvs["loss_trace.csv"])]
     assert len(losses) == 40
     assert all(0.0 <= loss <= 1.0 for loss in losses)
+
+
+def test_case_studies_at_multiword_seed(tmp_path, monkeypatch):
+    monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
+    config = {"experiment": "case-study", "seed": FROZEN_MULTIWORD_SEED}
+    assert _counts(_cli_run(tmp_path, "oracle", config)) == FROZEN_MULTIWORD_COUNTS
+    rollout = _cli_run(tmp_path, "rollout", {**config, "bandit": ROLLOUT_BANDIT})
+    assert _counts(rollout) == FROZEN_MULTIWORD_ROLLOUT_COUNTS
 
 
 def test_rollout_zooming_end_to_end(tmp_path, monkeypatch):

@@ -468,6 +468,7 @@ class TestCLI:
              "unknown fields: conjectures.labels"),
             (json.dumps({"experiment": "duality-audit", "mdp": {**INLINE_MDP, "rewardz": 1}}),
              "unknown fields: mdp.rewardz"),
+            ('{"experiment": "case-study", "seed": -1}', "seed: must be a non-negative"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -480,7 +481,7 @@ class TestCLI:
              "lambda-max-inf", "temperature-nan", "rewards-nan", "param-object",
              "param-list", "param-str", "param-bool", "param-nan", "label-int",
              "kernel-item-typo", "epsilons-and-kernels", "kernel-item-str",
-             "conjectures-typo", "mdp-typo"],
+             "conjectures-typo", "mdp-typo", "negative-seed"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)

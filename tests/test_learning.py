@@ -24,7 +24,13 @@ from berknash import (
     soft_best_response,
     uncertainty,
 )
-from berknash.learning import ROLLOUT_STREAM, _round_rng, resolve_loss_scale
+from berknash.learning import (
+    ROLLOUT_STREAM,
+    _arm_uniforms,
+    _draw_arm,
+    _round_rng,
+    resolve_loss_scale,
+)
 
 
 def two_cycle_instance():
@@ -222,6 +228,42 @@ def test_rollout_loss_clips_and_breaks_ties_like_searchsorted():
     assert got == _rollout_loss_reference(m, q, pi, cfg, 1e3, _FixedUniforms(u))
 
 
+# one to five 32-bit words, so the entropy is shorter than, as long as and
+# longer than numpy's pool of four
+ARM_SEEDS = [0, 5, 11, 2**32 - 1, 2**32, 2**40, 2**64 + 5, 2**96 + 7, 2**130 + 3]
+
+
+@pytest.mark.parametrize("seed", ARM_SEEDS)
+def test_arm_uniforms_match_per_round_generators(seed):
+    want = [np.random.default_rng(np.random.SeedSequence([seed, t, 0])).random()
+            for t in range(1, 1501)]
+    assert _arm_uniforms(seed, 1) == want[:1]
+    assert _arm_uniforms(seed, 1500) == want
+
+
+def test_draw_arm_matches_generator_choice():
+    rng = np.random.default_rng(3)
+    for i in range(2000):
+        K = (1, 4, 12)[i % 3]
+        p = rng.dirichlet(np.full(K, rng.choice([0.1, 1.0, 10.0])))
+        want = np.random.default_rng(i).choice(K, p=p)
+        assert _draw_arm(p.tolist(), np.random.default_rng(i).random()) == want, (i, p)
+
+
+@pytest.mark.parametrize("p", [[-0.1, 1.1], [0.5, 0.4], [0.5, 0.5 + 1e-6], [1.0, math.nan]])
+def test_draw_arm_rejects_what_choice_rejects(p):
+    with pytest.raises(ValueError, match="(?i)probabilities"):
+        np.random.default_rng(0).choice(len(p), p=p)
+    with pytest.raises(ValueError, match="probabilities"):
+        _draw_arm(p, 0.5)
+
+
+def test_draw_arm_accepts_a_sum_within_choice_tolerance():
+    near = [0.5, 0.5 + 1e-9]
+    want = np.random.default_rng(0).choice(2, p=near)
+    assert _draw_arm(near, np.random.default_rng(0).random()) == want
+
+
 class TestExp3Update:
     def test_zero_loss_leaves_weights(self):
         weights = np.ones(3)
@@ -320,6 +362,10 @@ class TestConfigValidation:
             BanditConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="horizon"):
             BanditConfig(horizon=0)
+
+    def test_rng_seed_non_negative(self):
+        with pytest.raises(ValueError, match="rng_seed"):
+            BanditConfig(rng_seed=-1)
 
     def test_estimator_name(self):
         with pytest.raises(ValueError, match="loss_estimator"):
