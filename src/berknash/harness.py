@@ -331,6 +331,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -344,8 +346,7 @@ def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
@@ -404,22 +405,18 @@ def _run_case_study(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
         ],
     )
     trace_path = out / "loss_trace.csv"
+    label_param = [
+        (label, "" if param is None else param)
+        for label, param in zip(record.labels, record.params)
+    ]
+    columns = (record.arms, record.probs, record.losses, record.running_mean, record.regret)
     _write_csv(
         trace_path,
         ["t", "arm", "label", "param", "prob", "loss", "running_mean", "regret"],
         [
-            (
-                t + 1,
-                int(record.arms[t]),
-                record.labels[record.arms[t]],
-                "" if record.params[record.arms[t]] is None
-                else record.params[record.arms[t]],
-                record.probs[t],
-                record.losses[t],
-                record.running_mean[t],
-                record.regret[t],
-            )
-            for t in range(cfg.bandit.horizon)
+            (t, arm, *label_param[arm], prob, loss, mean, regret)
+            for t, (arm, prob, loss, mean, regret)
+            in enumerate(zip(*(c.tolist() for c in columns)), start=1)
         ],
     )
     return {"frequencies": freq_path, "loss_trace": trace_path}
@@ -457,29 +454,15 @@ def _run_zooming(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
         cfg.zoom,
         cfg.soft,
     )
-    T = cfg.bandit.horizon
+    columns = (record.selected_params, record.probs, record.losses, record.running_mean,
+               record.set_sizes)
+    trace_rows = [(t, *row) for t, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
     trace_path = out / "param_trace.csv"
     _write_csv(
-        trace_path,
-        ["t", "param", "prob", "loss", "running_mean", "set_size"],
-        [
-            (
-                t + 1,
-                record.selected_params[t],
-                record.probs[t],
-                record.losses[t],
-                record.running_mean[t],
-                int(record.set_sizes[t]),
-            )
-            for t in range(T)
-        ],
+        trace_path, ["t", "param", "prob", "loss", "running_mean", "set_size"], trace_rows
     )
     size_path = out / "set_size.csv"
-    _write_csv(
-        size_path,
-        ["t", "num_arms"],
-        [(t + 1, int(record.set_sizes[t])) for t in range(T)],
-    )
+    _write_csv(size_path, ["t", "num_arms"], [(t, size) for t, *_, size in trace_rows])
     final_path = out / "final_set.csv"
     _write_csv(
         final_path,

@@ -16,6 +16,7 @@ generators would give.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -155,29 +156,64 @@ class BanditConfig:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
-def sampling_distribution(weights: np.ndarray, exploration: float) -> np.ndarray:
-    """Exploration-mixed sampling law (1-gamma) w/sum(w) + gamma/K."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
-    return (1.0 - exploration) * w / w.sum() + exploration / w.size
+def _pairwise_sum(x) -> float:
+    """``np.add.reduce`` of float64 values, bit for bit: numpy's pairwise sum.
+
+    Below 8 entries a left-to-right sum from 0.0; up to 128, eight running
+    sums combined as a tree, then the rest left to right; beyond, the two
+    halves split at a multiple of 8. Written as ``+=`` loops because the
+    builtin ``sum`` of floats compensates from Python 3.12 on.
+    """
+    n = len(x)
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n <= 128:
+        r, tail = list(x[:8]), n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += x[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in x[tail:]:
+            total += v
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
-def exp3_update(
-    weights: np.ndarray, arm: int, loss: float, prob: float, learning_rate: float
-) -> None:
+def sampling_distribution(weights, exploration: float) -> list[float]:
+    """Exploration-mixed sampling law (1-gamma) w/sum(w) + gamma/K.
+
+    Computed on Python floats with numpy's operation order and summation,
+    so it equals the array expression ``(1-gamma) * w / w.sum() + gamma/K``
+    bit for bit.
+    """
+    if not all(0.0 < x < math.inf for x in weights):
+        raise ValueError("weights must be strictly positive and finite")
+    scale, floor = 1.0 - exploration, exploration / len(weights)
+    total = _pairwise_sum(weights)
+    return [scale * x / total + floor for x in weights]
+
+
+def exp3_update(weights, arm: int, loss: float, prob: float, learning_rate: float) -> None:
     """Importance-weighted exponential update of the pulled arm's weight, in place.
 
     Weights are renormalized by their max afterwards, which leaves the
-    sampling law invariant and prevents underflow over long runs.
+    sampling law invariant and prevents underflow over long runs. ``weights``
+    is a list or an array; the factor comes from ``np.exp``, whose rounding
+    differs from ``math.exp``'s on some arguments.
     """
-    if prob <= 0.0:
+    if not 0.0 < prob < math.inf:
         raise ValueError(f"pulled arm must have positive probability, got {prob}")
-    weights[arm] *= np.exp(-learning_rate * loss / prob)
-    weights /= weights.max()
+    if not math.isfinite(loss):
+        raise ValueError(f"loss must be finite, got {loss}")
+    weights[arm] *= float(np.exp(-learning_rate * loss / prob))
+    top = max(weights)
     # a deeply suppressed arm's weight can underflow to exact zero; the
     # floor keeps weights strictly positive without moving the sampling law
-    np.maximum(weights, 1e-300, out=weights)
+    weights[:] = [max(w / top, 1e-300) for w in weights]
 
 
 def uncertainty(pull_counts: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -448,19 +484,18 @@ def _bandit_loop(
     round samples an arm, takes its loss (the oracle's, or a rollout of its
     policy), updates its count, running mean and weight, and records the
     round. With a ``zoom_cfg``, every ``zoom_interval`` rounds the arm set is
-    rebuilt by :func:`_zoom_step`.
+    rebuilt by :func:`_zoom_step`. The per-arm state is kept in Python lists,
+    since a round touches only a handful of entries.
     """
     keys = list(keys)
-    weights = np.ones(len(keys))
-    counts = np.zeros(len(keys), dtype=int)
-    means = np.zeros(len(keys))
+    weights, counts, means = [1.0] * len(keys), [0] * len(keys), [0.0] * len(keys)
     rounds: list[tuple] = []  # (key, prob, loss, set size)
     events: list[ZoomEvent] = []
 
     for t, u in enumerate(_arm_uniforms(cfg.rng_seed, cfg.horizon), start=1):
         K = len(keys)
         p = sampling_distribution(weights, cfg.exploration)
-        arm = _draw_arm(p.tolist(), u)
+        arm = _draw_arm(p, u)
         if cfg.loss_estimator == "oracle":
             loss = oracle_for(keys[arm])
         else:
@@ -470,7 +505,7 @@ def _bandit_loop(
             )
         counts[arm] += 1
         means[arm] += (loss - means[arm]) / counts[arm]
-        exp3_update(weights, arm, loss, float(p[arm]), cfg.learning_rate)
+        exp3_update(weights, arm, loss, p[arm], cfg.learning_rate)
         rounds.append((keys[arm], p[arm], loss, K))
 
         if zoom_cfg is not None and t % zoom_cfg.zoom_interval == 0:
@@ -482,7 +517,7 @@ def _bandit_loop(
     pulled, probs, losses, set_sizes = zip(*rounds)
     return _LoopTrace(
         pulled, np.array(probs), np.array(losses), np.array(set_sizes),
-        tuple(events), keys, weights, counts, means,
+        tuple(events), keys, np.array(weights), np.array(counts), np.array(means),
     )
 
 
@@ -491,8 +526,10 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
 
     Kept arms carry their weight, count and running mean over; new arms
     start at the median kept weight with their parent's running mean as
-    prior. Returns the new ``(params, weights, counts, means)`` and the event.
+    prior. ``weights``, ``counts`` and ``means`` come in and go out as
+    lists. Returns the new ``(params, weights, counts, means)`` and the event.
     """
+    weights, counts, means = np.array(weights), np.array(counts), np.array(means)
     alpha = zoom_cfg.alpha(t)
     delta = zoom_cfg.delta(t)
     rho = zoom_cfg.rho(t)
@@ -542,7 +579,7 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
     weights /= weights.max()
     counts = np.concatenate([counts[kept_idx], np.zeros(len(added), dtype=int)])
     means = np.concatenate([means[kept_idx], np.full(len(added), prior)])
-    return kept_params + added, weights, counts, means, event
+    return kept_params + added, weights.tolist(), counts.tolist(), means.tolist(), event
 
 
 def run_exp3(

@@ -24,7 +24,7 @@ from berknash import (
     validate_instance,
 )
 from berknash.cli import main as cli_main
-from berknash.harness import LambdaGridConfig
+from berknash.harness import LambdaGridConfig, _fmt
 
 
 def read_csv(path):
@@ -326,6 +326,16 @@ class TestRunExperiment:
         artifacts = run_experiment(cfg)
         assert artifacts.output_dir == override
         assert (override / "manifest.json").exists()
+
+
+def test_fmt_cells():
+    for x in (0.1, 1 / 3, 1e-300, -2.5e17, 0.0, 1.0, float("inf")):
+        assert _fmt(x) == _fmt(np.float64(x)) == format(x, ".17g")
+    assert _fmt(0.1) == "0.10000000000000001"
+    assert [_fmt(v) for v in (True, False, np.bool_(True), np.bool_(False))] == [
+        "true", "false", "true", "false"]
+    assert [_fmt(v) for v in (7, np.int64(7), -3, np.int32(0))] == ["7", "7", "-3", "0"]
+    assert [_fmt(v) for v in ("eps=0.25", "")] == ["eps=0.25", ""]
 
 
 class TestCLI:

@@ -76,12 +76,52 @@ class TestSamplingDistribution:
             w = rng.uniform(1e-6, 10.0, size=K)
             gamma = float(rng.uniform(0.01, 0.99))
             p = sampling_distribution(w, gamma)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(p >= gamma / K - 1e-15)
+            assert sum(p) == pytest.approx(1.0, abs=1e-12)
+            assert min(p) >= gamma / K - 1e-15
 
     def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            sampling_distribution(np.array([1.0, 0.0]), 0.1)
+        for w in ([1.0, 0.0], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="strictly positive"):
+                sampling_distribution(np.array(w), 0.1)
+
+
+def _sampling_distribution_reference(weights, exploration):
+    """The numpy form the list helper must reproduce bit for bit."""
+    w = np.asarray(weights, dtype=float)
+    return (1.0 - exploration) * w / w.sum() + exploration / w.size
+
+
+def _exp3_update_reference(weights, arm, loss, prob, learning_rate):
+    """The numpy form of the in-place update, on an array."""
+    weights[arm] *= np.exp(-learning_rate * loss / prob)
+    weights /= weights.max()
+    np.maximum(weights, 1e-300, out=weights)
+
+
+def test_sampling_distribution_matches_numpy_bit_for_bit():
+    # K up to 300 covers the left-to-right, eight-sum and recursive branches
+    # of numpy's pairwise summation
+    rng = np.random.default_rng(7)
+    for K in range(1, 301):
+        for _ in range(5):
+            w = rng.uniform(1e-3, 10.0, size=K) * 10.0 ** rng.integers(-6, 7, size=K)
+            gamma = float(rng.uniform(0.001, 0.5))
+            want = _sampling_distribution_reference(w, gamma).tolist()
+            assert sampling_distribution(w.tolist(), gamma) == want, K
+
+
+def test_exp3_update_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for K in (1, 2, 4, 7, 8, 12, 30, 129):
+        weights = [1.0] * K
+        ref = np.ones(K)
+        for _ in range(300):
+            p = sampling_distribution(weights, 0.05)
+            arm = int(rng.integers(K))
+            loss, eta = float(rng.uniform()), float(rng.choice([0.05, 0.5, 5.0]))
+            exp3_update(weights, arm, loss, p[arm], eta)
+            _exp3_update_reference(ref, arm, loss, p[arm], eta)
+            assert weights == ref.tolist(), K
 
 
 class TestLossEstimation:
@@ -296,8 +336,14 @@ class TestExp3Update:
         np.testing.assert_allclose(p1, p2, atol=1e-14)
 
     def test_requires_positive_probability(self):
-        with pytest.raises(ValueError, match="positive probability"):
-            exp3_update(np.ones(2), 0, 0.5, 0.0, learning_rate=0.1)
+        for prob in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive probability"):
+                exp3_update(np.ones(2), 0, 0.5, prob, learning_rate=0.1)
+        for loss in (math.nan, math.inf, -math.inf):
+            weights = np.ones(2)
+            with pytest.raises(ValueError, match="loss must be finite"):
+                exp3_update(weights, 0, loss, 0.5, learning_rate=0.1)
+            np.testing.assert_array_equal(weights, np.ones(2))
 
     def test_weights_stay_strictly_positive_under_heavy_suppression(self):
         weights = np.ones(2)
