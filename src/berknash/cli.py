@@ -10,8 +10,8 @@ Subcommands::
 the final parameters for zooming, and the worst primal, dual and slackness
 gaps for a duality audit.
 
-Exit codes: 0 success, 2 config/parse error, 3 validation error,
-4 runtime failure.
+Exit codes: 0 success, 2 config/parse error (a malformed run manifest
+included), 3 validation error, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -70,7 +70,16 @@ def _cmd_report(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json in {run_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(
+            f"{manifest_path}: parse error at line {err.lineno}, column {err.colno}: {err.msg}"
+        ) from None
+    if not isinstance(manifest, dict) or not {"experiment", "seed", "versions"} <= set(manifest):
+        raise ConfigError(
+            f"{manifest_path}: expected an object with experiment, seed and versions"
+        )
     print(f"experiment: {manifest['experiment']}  seed: {manifest['seed']}")
     print(f"versions: {manifest['versions']}")
     for name, fname in manifest.get("artifacts", {}).items():

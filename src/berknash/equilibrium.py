@@ -20,14 +20,12 @@ from .mdp import (
     ReducibleChainError,
     state_action_frequencies,
 )
-from .models import ConjectureSet, divergence_vector, kl_cost_table, long_run_divergence
+from .models import TIE_TOL, ConjectureSet, divergence_vector, kl_cost_table, long_run_divergence
 from .planning import greedy_policies, greedy_sets, occupation_of_policy, value_iteration
 from .soft_planning import SoftPlanConfig, soft_best_response
 
 # Largest residual a condition group may carry in an accepted equilibrium.
 FEAS_TOL = 1e-7
-# Selection objectives this close to the minimum tie; the lowest index wins.
-TIE_TOL = 1e-9
 
 GROUP_SUBJECTIVE_FLOW = "subjective_flow"
 GROUP_TRUE_FREQUENCY = "true_frequency"

@@ -259,6 +259,8 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
             _reject_unknown(item, ("kernel", "label", "param"), field)
             label = _typed(item.get("label", f"model-{i}"), str, f"{field}.label")
             param = _typed(item.get("param"), float | None, f"{field}.param")
+            if "kernel" not in item:
+                raise ConfigError(f"{field}: missing field 'kernel'")
             try:
                 kernel = np.asarray(_numbers(item["kernel"], "kernel"), dtype=float)
                 if kernel.shape != m.kernel.shape:
@@ -267,7 +269,7 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
                         f"{m.kernel.shape}"
                     )
                 members.append(SubjectiveKernel(kernel=kernel, label=label, param=param))
-            except (KeyError, TypeError, ValueError) as err:
+            except (TypeError, ValueError) as err:
                 raise ConfigError(f"{field}: {err}") from None
         return ConjectureSet(members=tuple(members))
     raise ConfigError("conjectures: provide either 'epsilons' or 'kernels'")
@@ -301,6 +303,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     sections = {name: _build(data, name, **presets.get(name, {})) for name in SECTIONS}
     if not (0 <= sections["lambda_grid"].model_index < len(conjectures)):
         raise ConfigError("lambda_grid.model_index: out of range for conjecture set")
+    # zooming searches mixture_kernel's weight, which lies in [0, 1]
+    lo, hi = sections["zoom"].bounds
+    if lo < 0.0 or hi > 1.0:
+        raise ConfigError(f"zoom.bounds: must lie in [0, 1], got {[lo, hi]}")
 
     output_dir = _typed(data.get("output_dir", f"runs/{kind}"), str, "output_dir")
     return ExperimentConfig(
@@ -331,22 +337,27 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
+    """One CSV cell from a Python value; a numpy scalar or None is a TypeError."""
     if type(value) is float:
         return format(value, ".17g")
-    if isinstance(value, (bool, np.bool_)):
+    if type(value) in (int, str):
+        return str(value)
+    if type(value) is bool:
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    raise TypeError(f"CSV cell must be a Python float, int, bool or str, got {value!r}")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write ``columns``, a dict from name to equal-length sequence, as a CSV.
+
+    The keys in order are the header; numpy arrays become Python values by
+    ``.tolist()``. Columns of unequal length raise ValueError.
+    """
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in zip(*cells, strict=True))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
@@ -387,113 +398,80 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
 
 def _run_case_study(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
     record = run_exp3(cfg.instance, cfg.conjectures, cfg.bandit, cfg.soft)
+    K = len(cfg.conjectures)
+    params = ["" if p is None else p for p in record.params]
     freq_path = out / "frequencies.csv"
-    counts = np.bincount(record.arms, minlength=len(cfg.conjectures))
-    _write_csv(
-        freq_path,
-        ["arm", "label", "param", "count", "frequency", "oracle_loss"],
-        [
-            (
-                k,
-                record.labels[k],
-                "" if record.params[k] is None else record.params[k],
-                int(counts[k]),
-                record.selection_frequencies[k],
-                record.oracle_losses[k],
-            )
-            for k in range(len(cfg.conjectures))
-        ],
-    )
+    _write_csv(freq_path, {
+        "arm": range(K), "label": record.labels, "param": params,
+        "count": np.bincount(record.arms, minlength=K),
+        "frequency": record.selection_frequencies, "oracle_loss": record.oracle_losses,
+    })
+    arms = record.arms.tolist()
     trace_path = out / "loss_trace.csv"
-    label_param = [
-        (label, "" if param is None else param)
-        for label, param in zip(record.labels, record.params)
-    ]
-    columns = (record.arms, record.probs, record.losses, record.running_mean, record.regret)
-    _write_csv(
-        trace_path,
-        ["t", "arm", "label", "param", "prob", "loss", "running_mean", "regret"],
-        [
-            (t, arm, *label_param[arm], prob, loss, mean, regret)
-            for t, (arm, prob, loss, mean, regret)
-            in enumerate(zip(*(c.tolist() for c in columns)), start=1)
-        ],
-    )
+    _write_csv(trace_path, {
+        "t": range(1, len(arms) + 1), "arm": arms,
+        "label": [record.labels[k] for k in arms], "param": [params[k] for k in arms],
+        "prob": record.probs, "loss": record.losses,
+        "running_mean": record.running_mean, "regret": record.regret,
+    })
     return {"frequencies": freq_path, "loss_trace": trace_path}
 
 
 def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
     member = cfg.conjectures.members[cfg.lambda_grid.model_index]
     m_theta = cfg.instance.with_kernel(member.kernel)
-    rows = []
-    for lam in cfg.lambda_grid.values():
-        pi, v_soft, _ = soft_best_response(m_theta, SoftPlanConfig(temperature=float(lam)))
-        # Reward-only evaluation of the softmax policy under the same
-        # kernel it was planned against (no entropy bonus in either term).
-        v_reward = policy_value(m_theta, pi)
-        for x in range(cfg.instance.num_states):
-            for a in range(cfg.instance.num_actions):
-                rows.append((lam, x, a, pi[x, a], v_soft[x], v_reward[x]))
+    lams = cfg.lambda_grid.values().tolist()
+    pis, v_softs = zip(*(soft_best_response(m_theta, SoftPlanConfig(temperature=lam))[:2]
+                         for lam in lams))
+    # Reward-only evaluation of the softmax policy under the same
+    # kernel it was planned against (no entropy bonus in either term).
+    v_rewards = [policy_value(m_theta, pi) for pi in pis]
+    # one row per (lambda, state, action), in that nesting order
+    S, A, n = cfg.instance.num_states, cfg.instance.num_actions, len(lams)
     sweep_path = out / "sweep.csv"
-    _write_csv(
-        sweep_path,
-        ["lambda", "state", "action", "pi", "v_soft", "v_reward"],
-        rows,
-    )
+    _write_csv(sweep_path, {
+        "lambda": np.repeat(lams, S * A), "state": np.tile(np.repeat(np.arange(S), A), n),
+        "action": np.tile(np.arange(A), n * S), "pi": np.ravel(pis),
+        "v_soft": np.repeat(v_softs, A), "v_reward": np.repeat(v_rewards, A),
+    })
     return {"sweep": sweep_path}
 
 
 def _run_zooming(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
     lo, hi = cfg.zoom.bounds
-    initial = np.linspace(lo, hi, cfg.zoom.initial_grid)
+    initial = np.linspace(lo, hi, cfg.zoom.initial_grid).tolist()
     record = run_zoom_exp3(
         cfg.instance,
         lambda eps: mixture_kernel(cfg.instance, float(eps)),
-        list(initial),
+        initial,
         cfg.bandit,
         cfg.zoom,
         cfg.soft,
     )
-    columns = (record.selected_params, record.probs, record.losses, record.running_mean,
-               record.set_sizes)
-    trace_rows = [(t, *row) for t, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
+    t = range(1, record.losses.size + 1)
+    set_sizes = record.set_sizes.tolist()
     trace_path = out / "param_trace.csv"
-    _write_csv(
-        trace_path, ["t", "param", "prob", "loss", "running_mean", "set_size"], trace_rows
-    )
+    _write_csv(trace_path, {
+        "t": t, "param": record.selected_params, "prob": record.probs, "loss": record.losses,
+        "running_mean": record.running_mean, "set_size": set_sizes,
+    })
     size_path = out / "set_size.csv"
-    _write_csv(size_path, ["t", "num_arms"], [(t, size) for t, *_, size in trace_rows])
+    _write_csv(size_path, {"t": t, "num_arms": set_sizes})
     final_path = out / "final_set.csv"
-    _write_csv(
-        final_path,
-        ["param", "mean_loss", "count", "weight"],
-        [
-            (
-                record.final_params[k],
-                record.final_mean_losses[k],
-                int(record.final_counts[k]),
-                record.final_weights[k],
-            )
-            for k in range(len(record.final_params))
-        ],
-    )
+    _write_csv(final_path, {
+        "param": record.final_params, "mean_loss": record.final_mean_losses,
+        "count": record.final_counts, "weight": record.final_weights,
+    })
+    events = record.events
     events_path = out / "zoom_events.csv"
-    _write_csv(
-        events_path,
-        ["t", "incumbent_param", "num_kept", "num_pruned_suboptimal",
-         "num_pruned_converged", "num_added"],
-        [
-            (
-                ev.t,
-                ev.incumbent_param,
-                len(ev.kept),
-                sum(1 for _, why in ev.pruned if why == "suboptimal"),
-                sum(1 for _, why in ev.pruned if why == "converged"),
-                len(ev.added),
-            )
-            for ev in record.events
-        ],
-    )
+    _write_csv(events_path, {
+        "t": [ev.t for ev in events],
+        "incumbent_param": [ev.incumbent_param for ev in events],
+        "num_kept": [len(ev.kept) for ev in events],
+        "num_pruned_suboptimal": [sum(w == "suboptimal" for _, w in ev.pruned) for ev in events],
+        "num_pruned_converged": [sum(w == "converged" for _, w in ev.pruned) for ev in events],
+        "num_added": [len(ev.added) for ev in events],
+    })
     return {
         "param_trace": trace_path,
         "set_size": size_path,
@@ -505,8 +483,7 @@ def _run_zooming(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
 def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
     eq = cfg.equilibrium
     modes = ("hard", "soft") if eq.mode == "both" else (eq.mode,)
-    K = len(cfg.conjectures)
-    rows = []
+    rows = []  # (mode, diagnostic), one per CSV row
     summary_lines = []
     for mode in modes:
         report = enumerate_equilibria(
@@ -515,23 +492,7 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
             mode=mode,
             temperature=cfg.soft.temperature if mode == "soft" else None,
         )
-        for diag in report.diagnostics:
-            # residual columns stay blank unless the candidate was accepted
-            res = diag.feasibility.residuals if diag.accepted else {}
-            divs = [""] * K if diag.divergence_vector is None else list(diag.divergence_vector)
-            rows.append(
-                [
-                    mode,
-                    diag.model_index,
-                    diag.label,
-                    diag.policy_kind,
-                    diag.accepted,
-                    diag.tie_states,
-                    diag.reason,
-                ]
-                + divs
-                + [res.get(group, "") for group in RESIDUAL_GROUPS]
-            )
+        rows += [(mode, diag) for diag in report.diagnostics]
         summary_lines.append(f"mode={mode}: {len(report.equilibria)} equilibrium(ia)")
         for e in report.equilibria:
             summary_lines.append(
@@ -544,69 +505,59 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
                 "  note: greedy ties present; equilibria needing strictly interior"
                 " randomization over tied actions are not searched"
             )
+    columns = {"mode": [mode for mode, _ in rows]}
+    for name in ("model_index", "label", "policy_kind", "accepted", "tie_states", "reason"):
+        columns[name] = [getattr(diag, name) for _, diag in rows]
+    for k in range(len(cfg.conjectures)):
+        columns[f"divergence_{k}"] = [
+            "" if diag.divergence_vector is None else float(diag.divergence_vector[k])
+            for _, diag in rows
+        ]
+    # residual columns stay blank unless the candidate was accepted
+    for group in RESIDUAL_GROUPS:
+        columns[f"res_{group}"] = [
+            diag.feasibility.residuals[group] if diag.accepted else "" for _, diag in rows
+        ]
     eq_path = out / "equilibria.csv"
-    _write_csv(
-        eq_path,
-        ["mode", "model_index", "label", "policy_kind", "accepted", "tie_states", "reason"]
-        + [f"divergence_{k}" for k in range(K)]
-        + [f"res_{group}" for group in RESIDUAL_GROUPS],
-        rows,
-    )
+    _write_csv(eq_path, columns)
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(summary_lines) + "\n")
     return {"equilibria": eq_path, "summary": summary_path}
 
 
 def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
-    rows = []
-    for k, member in enumerate(cfg.conjectures):
+    primal_obj, vi_sum, dual_obj, vi_mu0, slackness, greedy_ok = [], [], [], [], [], []
+    for member in cfg.conjectures:
         m_k = cfg.instance.with_kernel(member.kernel)
         v = value_iteration(m_k)
         lp = build_primal_lp(m_k)
         primal = simplex_solve(lp)
         dual = simplex_solve(build_dual_lp(m_k))
         eta = dual.x.reshape(cfg.instance.num_states, cfg.instance.num_actions)
+        primal_obj.append(primal.objective)
+        vi_sum.append(float(v.sum()))
+        dual_obj.append(dual.objective)
+        vi_mu0.append(float(cfg.instance.initial_dist @ v))
 
         # complementary slackness: positive occupation mass must sit on
         # tight primal rows (one row per (x, a), x-major like eta)
         slack = lp.constraints @ primal.x - lp.rhs
-        slackness = np.abs(slack[eta.ravel() > 1e-8]).max(initial=0.0)
+        slackness.append(float(np.abs(slack[eta.ravel() > 1e-8]).max(initial=0.0)))
 
         greedy = greedy_sets(m_k, v)
         pi = policy_from_occupation(eta)
-        greedy_ok = all(
+        greedy_ok.append(all(
             set(np.flatnonzero(pi[x] > 1e-8)) <= set(greedy[x].tolist())
             for x in range(cfg.instance.num_states)
-        )
-        rows.append(
-            (
-                k,
-                member.label,
-                primal.objective,
-                v.sum(),
-                dual.objective,
-                float(cfg.instance.initial_dist @ v),
-                abs(primal.objective - v.sum()),
-                abs(dual.objective - float(cfg.instance.initial_dist @ v)),
-                slackness,
-                greedy_ok,
-            )
-        )
+        ))
     path = out / "duality.csv"
-    _write_csv(
-        path,
-        [
-            "model_index",
-            "label",
-            "primal_objective",
-            "vi_sum_values",
-            "dual_objective",
-            "vi_mu0_weighted",
-            "primal_gap",
-            "dual_gap",
-            "max_slackness_violation",
-            "occupation_policy_greedy",
-        ],
-        rows,
-    )
+    _write_csv(path, {
+        "model_index": range(len(cfg.conjectures)),
+        "label": [member.label for member in cfg.conjectures],
+        "primal_objective": primal_obj, "vi_sum_values": vi_sum,
+        "dual_objective": dual_obj, "vi_mu0_weighted": vi_mu0,
+        "primal_gap": np.abs(np.subtract(primal_obj, vi_sum)),
+        "dual_gap": np.abs(np.subtract(dual_obj, vi_mu0)),
+        "max_slackness_violation": slackness, "occupation_policy_greedy": greedy_ok,
+    })
     return {"duality": path}

@@ -8,6 +8,9 @@ import numpy as np
 
 from .mdp import MDPInstance, ROW_SUM_TOL, state_action_frequencies
 
+# Divergences (and selection objectives) this close to the minimum tie.
+TIE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SubjectiveKernel:
@@ -100,17 +103,15 @@ def divergence_vector(m: MDPInstance, cs: ConjectureSet, d: np.ndarray) -> np.nd
     return np.array([long_run_divergence(d, kl_cost_table(m, q)) for q in cs])
 
 
-def pseudo_true_set(
-    m: MDPInstance, cs: ConjectureSet, pi: np.ndarray, tie_tol: float = 1e-9
-) -> list[int]:
+def pseudo_true_set(m: MDPInstance, cs: ConjectureSet, pi: np.ndarray) -> list[int]:
     """Indices of conjectures minimizing the long-run divergence under ``pi``.
 
-    All indices within ``tie_tol`` of the minimum are returned, so exact
+    All indices within ``TIE_TOL`` of the minimum are returned, so exact
     argmin ties survive floating point.
     """
     d = state_action_frequencies(m, pi)
     divs = divergence_vector(m, cs, d)
-    return [int(k) for k in np.flatnonzero(divs <= divs.min() + tie_tol)]
+    return [int(k) for k in np.flatnonzero(divs <= divs.min() + TIE_TOL)]
 
 
 def mixture_kernel(m: MDPInstance, eps: float) -> SubjectiveKernel:

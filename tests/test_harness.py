@@ -24,7 +24,7 @@ from berknash import (
     validate_instance,
 )
 from berknash.cli import main as cli_main
-from berknash.harness import LambdaGridConfig, _fmt
+from berknash.harness import LambdaGridConfig, _fmt, _write_csv
 
 
 def read_csv(path):
@@ -303,6 +303,31 @@ class TestRunExperiment:
         trace = read_csv(artifacts.csv_paths["loss_trace"])
         assert all(r["param"] == "" for r in trace)
 
+    def test_labels_are_csv_quoted(self, tmp_path):
+        m, _ = benchmark3()
+        uniform = np.full(m.kernel.shape, 1.0 / m.num_states)
+        cfg = self._cfg(tmp_path, "case-study", {
+            "bandit": {"horizon": 300},
+            "conjectures": {"kernels": [
+                {"kernel": m.kernel.tolist(), "label": "k0"},
+                {"kernel": uniform.tolist(), "label": 'k,1"q'},
+            ]},
+        })
+        artifacts = run_experiment(cfg)
+        freq = artifacts.csv_paths["frequencies"].read_text().splitlines()
+        assert re.fullmatch(r'1,"k,1""q",,\d+,[^,"]+,[^,"]+', freq[2])
+        trace = artifacts.csv_paths["loss_trace"].read_text().splitlines()
+        pulls = [line for line in trace[1:] if line.split(",")[1] == "1"]
+        assert pulls
+        assert all(re.fullmatch(r'\d+,1,"k,1""q",,[^,"]+(,[^,"]+){3}', line) for line in pulls)
+
+    def test_zooming_without_zoom_event_writes_header_only(self, tmp_path):
+        cfg = self._cfg(tmp_path, "zooming",
+                        {"bandit": {"horizon": 50}, "zoom": {"zoom_interval": 100}})
+        events = run_experiment(cfg).csv_paths["zoom_events"].read_text()
+        assert events == ("t,incumbent_param,num_kept,num_pruned_suboptimal,"
+                          "num_pruned_converged,num_added\n")
+
     @pytest.mark.parametrize("kind, extra", [
         ("case-study", {"bandit": {"horizon": 50, "learning_rate": 0.25}}),
         ("lambda-sweep", {"lambda_grid": {"points": 3, "max": 10.0}}),
@@ -330,12 +355,20 @@ class TestRunExperiment:
 
 def test_fmt_cells():
     for x in (0.1, 1 / 3, 1e-300, -2.5e17, 0.0, 1.0, float("inf")):
-        assert _fmt(x) == _fmt(np.float64(x)) == format(x, ".17g")
+        assert _fmt(x) == format(x, ".17g")
     assert _fmt(0.1) == "0.10000000000000001"
-    assert [_fmt(v) for v in (True, False, np.bool_(True), np.bool_(False))] == [
-        "true", "false", "true", "false"]
-    assert [_fmt(v) for v in (7, np.int64(7), -3, np.int32(0))] == ["7", "7", "-3", "0"]
+    assert [_fmt(v) for v in (True, False)] == ["true", "false"]
+    assert [_fmt(v) for v in (7, -3, 0)] == ["7", "-3", "0"]
     assert [_fmt(v) for v in ("eps=0.25", "")] == ["eps=0.25", ""]
+    # a numpy scalar would print with numpy's own repr, so it must not get through
+    for v in (np.float64(0.1), np.int64(7), np.bool_(True), None):
+        with pytest.raises(TypeError):
+            _fmt(v)
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "bad.csv", {"a": [1, 2], "b": [0.5]})
 
 
 class TestCLI:
@@ -479,6 +512,13 @@ class TestCLI:
             (json.dumps({"experiment": "duality-audit", "mdp": {**INLINE_MDP, "rewardz": 1}}),
              "unknown fields: mdp.rewardz"),
             ('{"experiment": "case-study", "seed": -1}', "seed: must be a non-negative"),
+            (json.dumps({"experiment": "zooming", "zoom": {"bounds": [0.0, 2.0]}}),
+             "zoom.bounds"),
+            (json.dumps({"experiment": "zooming",
+                         "zoom": {"bounds": [0.0, 1.3], "initial_grid": 1}}), "zoom.bounds"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"label": "a"}]}}),
+             "conjectures.kernels[0]: missing field 'kernel'"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -491,7 +531,8 @@ class TestCLI:
              "lambda-max-inf", "temperature-nan", "rewards-nan", "param-object",
              "param-list", "param-str", "param-bool", "param-nan", "label-int",
              "kernel-item-typo", "epsilons-and-kernels", "kernel-item-str",
-             "conjectures-typo", "mdp-typo", "negative-seed"],
+             "conjectures-typo", "mdp-typo", "negative-seed", "zoom-bounds-above-one",
+             "zoom-bounds-unreached", "kernel-item-missing-kernel"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
@@ -512,3 +553,13 @@ class TestCLI:
 
     def test_report_missing_rundir(self, tmp_path, capsys):
         assert cli_main(["report", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("text", ["{}", "[]", "{not json"],
+                             ids=["empty-object", "list", "not-json"])
+    def test_report_malformed_manifest(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert cli_main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(manifest) in err

@@ -17,6 +17,7 @@ from berknash import (
     state_action_frequencies,
     uniform_policy,
 )
+from berknash.models import TIE_TOL
 from _helpers import random_instance, random_policy
 
 
@@ -177,8 +178,8 @@ class TestPseudoTrueSet:
         m = random_instance(rng)
         cs = mixture_family(m, [0.1, 0.3])
         pi = uniform_policy(3, 2)
-        for tol in (1e-12, 1e-10, 1e-9):
-            assert pseudo_true_set(m, cs, pi, tie_tol=tol) == [0]
+        assert TIE_TOL == 1e-9
+        assert pseudo_true_set(m, cs, pi) == [0]
 
 
 class TestMixtureFamily:
