@@ -80,31 +80,46 @@ def _cmd_report(args) -> int:
         raise ConfigError(
             f"{manifest_path}: expected an object with experiment, seed and versions"
         )
+    artifacts = manifest.get("artifacts", {})
+    if not isinstance(artifacts, dict) or not all(
+        isinstance(fname, str) for fname in artifacts.values()
+    ):
+        raise ConfigError(f"{manifest_path}: artifacts must map names to file names")
     print(f"experiment: {manifest['experiment']}  seed: {manifest['seed']}")
     print(f"versions: {manifest['versions']}")
-    for name, fname in manifest.get("artifacts", {}).items():
+    for name, fname in artifacts.items():
         path = run_dir / fname
         if path.suffix != ".csv" or not path.exists():
             print(f"  {name}: {fname}")
             continue
         with open(path) as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+
+        def column(header, parse=str):
+            if header not in (reader.fieldnames or ()):
+                raise ConfigError(f"{path}: no {header} column")
+            try:
+                return [parse(r[header]) for r in rows]
+            except (TypeError, ValueError):  # a short row reads None
+                raise ConfigError(f"{path}: unreadable {header} value") from None
+
         print(f"  {name}: {fname} ({len(rows)} rows)")
         if manifest["experiment"] == "case-study" and name == "frequencies":
-            for r in rows:
-                print(f"    arm {r['arm']} ({r['label']}): "
-                      f"frequency {float(r['frequency']):.4f}")
+            for arm, label, freq in zip(column("arm"), column("label"),
+                                        column("frequency", float)):
+                print(f"    arm {arm} ({label}): frequency {freq:.4f}")
         if manifest["experiment"] == "zooming" and name == "final_set":
-            params = sorted(float(r["param"]) for r in rows)
+            params = sorted(column("param", float))
             print(f"    final params: {[round(p, 6) for p in params]}")
         if manifest["experiment"] == "zooming" and name == "param_trace":
-            tail = [float(r["param"]) for r in rows[-max(1, len(rows) // 10):]]
+            tail = column("param", float)[-max(1, len(rows) // 10):]
             print(f"    median selected param, last 10%: {np.median(tail):.6g}")
         if manifest["experiment"] == "duality-audit" and name == "duality":
-            for column, title in (("primal_gap", "max primal gap: "),
+            for header, title in (("primal_gap", "max primal gap: "),
                                   ("dual_gap", "max dual gap:   "),
                                   ("max_slackness_violation", "max slack abuse:")):
-                print(f"    {title} {max(float(r[column]) for r in rows):.3e}")
+                print(f"    {title} {max(column(header, float)):.3e}")
     return EXIT_OK
 
 

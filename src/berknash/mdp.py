@@ -133,28 +133,18 @@ def _check_irreducible(P: np.ndarray) -> None:
     Entries below SUPPORT_TOL count as exact zeros, so the check is
     deterministic and independent of how the kernel was computed.
     """
-    adj = P > SUPPORT_TOL
-    n = adj.shape[0]
-
-    def reachable(adj_mat):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = adj_mat[frontier].any(axis=0) & ~seen
-            seen |= nxt
-            frontier = list(np.flatnonzero(nxt))
-        return seen
-
-    fwd = reachable(adj)
-    if not fwd.all():
-        j = int(np.flatnonzero(~fwd)[0])
+    n = P.shape[0]
+    # reach[i, j]: j is reachable from i; squaring doubles the path length
+    reach = (P > SUPPORT_TOL) | np.eye(n, dtype=bool)
+    for _ in range(max(n - 1, 1).bit_length()):
+        reach = reach @ reach
+    if not reach[0].all():
+        j = int(np.flatnonzero(~reach[0])[0])
         raise ReducibleChainError(
             f"chain is reducible: state {j} is not reachable from state 0"
         )
-    bwd = reachable(adj.T)
-    if not bwd.all():
-        j = int(np.flatnonzero(~bwd)[0])
+    if not reach[:, 0].all():
+        j = int(np.flatnonzero(~reach[:, 0])[0])
         raise ReducibleChainError(
             f"chain is reducible: state 0 is not reachable from state {j}"
         )

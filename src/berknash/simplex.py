@@ -93,9 +93,11 @@ class SimplexSolution:
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    # only rows with a nonzero entry in ``col``: subtracting a zero multiple
+    # from the others could still turn their -0.0 entries into 0.0
+    rows = T[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col, None] * T[row]
     basis[row] = col
 
 
@@ -104,61 +106,47 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, allowed: int, ray_map=None)
 
     T[-1, :-1] holds the reduced costs and T[-1, -1] minus the current
     objective value. Only columns < ``allowed`` may enter the basis, which
-    keeps phase-1 artificials out of phase 2. Phase 1 passes no ``ray_map``.
+    keeps phase-1 artificials out of phase 2. ``ray_map`` maps a standard
+    column to the variable an unbounded ray reports; phase 1 passes none.
     """
-    m = T.shape[0] - 1
     iterations = 0
     max_iters = 200 * (T.shape[0] + T.shape[1]) + 10_000
-    skipped: set[int] = set()
+    skipped = np.zeros(allowed, dtype=bool)
     while True:
-        red = T[-1, :allowed]
-        entering = -1
-        for j in range(allowed):
-            if red[j] < -OPT_TOL and j not in skipped:
-                entering = j
-                break
-        if entering < 0:
+        improving = (T[-1, :allowed] < -OPT_TOL) & ~skipped
+        entering = improving.argmax()
+        if not improving[entering]:
             return iterations
-        ratios = np.full(m, np.inf)
-        col = T[:m, entering]
-        pos = col > PIVOT_TOL
+        col = T[:-1, entering]
+        rows = (col > PIVOT_TOL).nonzero()[0]
         # basic values can drift a few ulp below zero; a negative ratio would
         # pivot the tableau infeasible, so clamp before the ratio test
-        ratios[pos] = np.maximum(T[:m, -1][pos], 0.0) / col[pos]
-        # Leaving rule: minimum ratio, exact ties broken by smallest basis
-        # index (the other half of Bland's rule).
-        best = np.inf
-        leave = -1
-        for i in range(m):
-            if not np.isfinite(ratios[i]):
-                continue
-            if leave < 0 or ratios[i] < best or (
-                ratios[i] == best and basis[i] < basis[leave]
-            ):
-                best = ratios[i]
-                leave = i
-        if leave < 0:
+        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
+        best = ratios.min(initial=np.inf)
+        if not np.isfinite(best):
             if ray_map is not None:
-                raise UnboundedLPError(ray_map(entering))
+                raise UnboundedLPError(int(ray_map[entering]))
             # Phase 1's objective (artificial mass) is bounded below by 0, so
             # an improving column with no positive entry is drift: skip it.
-            skipped.add(entering)
+            skipped[entering] = True
             continue
-        _pivot(T, basis, leave, entering)
-        skipped.clear()
+        # Leaving rule: minimum ratio, exact ties broken by smallest basis
+        # index (the other half of Bland's rule).
+        tied = rows[ratios == best]
+        _pivot(T, basis, tied[basis[tied].argmin()], entering)
+        skipped[:] = False
         iterations += 1
         if iterations > max_iters:
             raise RuntimeError("simplex failed to terminate (pivot cap reached)")
 
 
 def _objective_row(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
-    m = T.shape[0] - 1
     T[-1, :-1] = cost
     T[-1, -1] = 0.0
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            T[-1] -= cb * T[i]
+    cb = cost[basis]
+    # row by row, in row order: a matrix product would sum in another order
+    for i in cb.nonzero()[0]:
+        T[-1] -= cb[i] * T[i]
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexSolution:
@@ -171,50 +159,35 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
     n = lp.num_vars
     m = lp.num_rows
 
-    # Standard form: shift finite lower bounds to 0, split free variables,
-    # append one slack/surplus column per inequality row.
-    shift = np.where(np.isfinite(lp.lower_bounds), lp.lower_bounds, 0.0)
+    # Standard form: shift finite lower bounds to 0, split each free variable
+    # into adjacent plus and minus columns (Bland's rule depends on the
+    # column order), append one slack/surplus column per inequality row.
     free = ~np.isfinite(lp.lower_bounds)
-    cols = []  # (orig var, sign) per standard column
-    for j in range(n):
-        cols.append((j, 1.0))
-        if free[j]:
-            cols.append((j, -1.0))
-    n_split = len(cols)
-    n_slack = sum(1 for s in lp.senses if s != "=")
-    n_std = n_split + n_slack
+    shift = np.where(free, 0.0, lp.lower_bounds)
+    split = np.repeat(np.arange(n), np.where(free, 2, 1))  # variable of each column
+    sign = np.ones(split.size)
+    sign[1:][split[1:] == split[:-1]] = -1.0  # the minus column of a free variable
+    n_split = split.size
+    senses = np.array(lp.senses)
+    slack_rows = (senses != "=").nonzero()[0]
+    n_std = n_split + slack_rows.size
 
-    A_std = np.zeros((m, n_std))
-    for idx, (j, sign) in enumerate(cols):
-        A_std[:, idx] = sign * lp.constraints[:, j]
     b_std = lp.rhs - lp.constraints @ shift
-    slack_idx = n_split
-    for i, sense in enumerate(lp.senses):
-        if sense == "<=":
-            A_std[i, slack_idx] = 1.0
-            slack_idx += 1
-        elif sense == ">=":
-            A_std[i, slack_idx] = -1.0
-            slack_idx += 1
-
-    neg = b_std < 0.0
-    A_std[neg] *= -1.0
-    b_std = np.where(neg, -b_std, b_std)
-
     c_std = np.zeros(n_std)
-    for idx, (j, sign) in enumerate(cols):
-        c_std[idx] = sign * lp.objective[j]
+    c_std[:n_split] = sign * lp.objective[split]
     if lp.maximize:
         c_std = -c_std
+    ray_map = np.concatenate([split, np.arange(n_split, n_std)])
 
-    def ray_map(col: int) -> int:
-        return cols[col][0] if col < n_split else col
-
-    # Phase 1: artificial basis, minimize total artificial mass.
+    # Phase 1: rows with b >= 0, artificial basis, minimize artificial mass.
     T = np.zeros((m + 1, n_std + m + 1))
-    T[:m, :n_std] = A_std
-    T[:m, n_std:-1] = np.eye(m)
+    T[:m, :n_split] = sign * lp.constraints[:, split]
+    T[slack_rows, np.arange(n_split, n_std)] = np.where(
+        senses[slack_rows] == "<=", 1.0, -1.0
+    )
     T[:m, -1] = b_std
+    T[:m][b_std < 0.0] *= -1.0
+    T[:m, n_std:-1] = np.eye(m)
     basis = np.arange(n_std, n_std + m)
     cost1 = np.zeros(n_std + m)
     cost1[n_std:] = 1.0
@@ -227,14 +200,12 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
 
     # Drive lingering artificials out of the basis; drop redundant rows.
     keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n_std:
-            row = T[i, :n_std]
-            nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-            if nonzero.size:
-                _pivot(T, basis, i, int(nonzero[0]))
-            else:
-                keep[i] = False
+    for i in (basis >= n_std).nonzero()[0]:
+        nonzero = (np.abs(T[i, :n_std]) > PIVOT_TOL).nonzero()[0]
+        if nonzero.size:
+            _pivot(T, basis, i, nonzero[0])
+        else:
+            keep[i] = False
     if not keep.all():
         T = np.vstack([T[:m][keep], T[-1:]])
         basis = basis[keep]
@@ -248,8 +219,8 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
     x_std = np.zeros(n_std)
     x_std[basis] = T[:m, -1]
     x = shift.copy()
-    for idx, (j, sign) in enumerate(cols):
-        x[j] += sign * x_std[idx]
+    # unbuffered and in column order, so x[j] sums its columns as a loop would
+    np.add.at(x, split, sign * x_std[:n_split])
 
     residual = _feasibility_residual(lp, x)
     if residual > OPT_TOL * max(1.0, np.abs(lp.rhs).max()):
@@ -258,17 +229,9 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
 
 
 def _feasibility_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    lhs = lp.constraints @ x
-    worst = 0.0
-    for i, sense in enumerate(lp.senses):
-        gap = lhs[i] - lp.rhs[i]
-        if sense == "=":
-            worst = max(worst, abs(gap))
-        elif sense == "<=":
-            worst = max(worst, gap)
-        else:
-            worst = max(worst, -gap)
+    gap = lp.constraints @ x - lp.rhs
+    senses = np.array(lp.senses)
+    violation = np.where(senses == "=", np.abs(gap), np.where(senses == "<=", gap, -gap))
     finite = np.isfinite(lp.lower_bounds)
-    if finite.any():
-        worst = max(worst, float(np.max(lp.lower_bounds[finite] - x[finite], initial=0.0)))
-    return float(worst)
+    bound_gap = lp.lower_bounds[finite] - x[finite]
+    return float(max(violation.max(initial=0.0), bound_gap.max(initial=0.0)))

@@ -563,3 +563,32 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "config error" in err
         assert str(manifest) in err
+
+    @pytest.mark.parametrize(
+        "experiment, artifacts, csv_text, named",
+        [
+            ("case-study", ["frequencies.csv"], None, ("manifest.json", "artifacts")),
+            ("case-study", {"frequencies": 5}, None, ("manifest.json", "artifacts")),
+            ("duality-audit", {"duality": "duality.csv"},
+             "conjecture,dual_gap,max_slackness_violation\n0,0,0\n",
+             ("duality.csv", "primal_gap")),
+            ("case-study", {"frequencies": "frequencies.csv"},
+             "arm,label,count\n0,eps=0.05,3000\n", ("frequencies.csv", "frequency")),
+            ("zooming", {"final_set": "final_set.csv"}, "arm,param\n0\n",
+             ("final_set.csv", "param")),
+        ],
+        ids=["artifacts-list", "artifacts-not-names", "duality-no-primal-gap",
+             "frequencies-no-frequency", "final-set-short-row"],
+    )
+    def test_report_mismatched_artifacts(self, tmp_path, capsys, experiment, artifacts,
+                                         csv_text, named):
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "experiment": experiment, "seed": 11, "versions": {}, "artifacts": artifacts,
+        }))
+        if csv_text is not None:
+            (tmp_path / named[0]).write_text(csv_text)
+        assert cli_main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(tmp_path / named[0]) in err
+        assert named[1] in err

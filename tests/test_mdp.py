@@ -135,6 +135,32 @@ class TestStationaryDistribution:
         with pytest.raises(ReducibleChainError, match="state 1"):
             stationary_distribution(P)
 
+    def test_reducible_chain_names_a_state_that_cannot_return(self):
+        # every state is reachable from 0, but 0 is left for good
+        P = np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+        with pytest.raises(ReducibleChainError,
+                           match="^chain is reducible: state 0 is not reachable from state 1$"):
+            stationary_distribution(P)
+
+    @staticmethod
+    def _cycle(n):
+        return np.roll(np.eye(n), 1, axis=1)  # k -> k + 1 (mod n)
+
+    def test_cycles_are_irreducible(self):
+        # reaching state n - 1 from 0 takes the longest path an n-cycle has
+        for n in range(1, 10):
+            mu = stationary_distribution(self._cycle(n))
+            np.testing.assert_allclose(mu, np.full(n, 1.0 / n), atol=1e-12)
+
+    def test_cut_cycle_names_the_first_unreachable_state(self):
+        for n in range(2, 10):
+            for k in range(n - 1):
+                P = self._cycle(n)
+                P[k] = np.eye(n)[k]  # k -> k + 1 cut: k now stays put
+                msg = f"^chain is reducible: state {k + 1} is not reachable from state 0$"
+                with pytest.raises(ReducibleChainError, match=msg):
+                    stationary_distribution(P)
+
     def test_periodic_but_irreducible_is_fine(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         mu = stationary_distribution(P)

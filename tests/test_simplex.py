@@ -6,11 +6,12 @@ from berknash import (
     LinearProgram,
     MDPInstance,
     UnboundedLPError,
+    benchmark3,
     mixture_kernel,
     simplex_solve,
     value_iteration,
 )
-from berknash.planning import build_primal_lp
+from berknash.planning import build_dual_lp, build_primal_lp
 from _helpers import enumerate_lp_vertices
 
 
@@ -85,8 +86,56 @@ def test_unbounded_reports_ray():
     assert err.value.ray_index == 0
 
 
-@pytest.mark.parametrize("eps", np.linspace(0.05, 0.45, 8)[[5, 7]].tolist())
-def test_phase1_drift_is_not_unbounded(eps):
+def test_unbounded_ray_along_minus_column_names_the_variable():
+    # min x0 subject to x1 <= 1, x0 free: the ray runs down the minus column
+    # of x0 (standard column 1), and the error names the original variable 0
+    lp = LinearProgram(
+        objective=[1.0, 0.0],
+        constraints=[[0.0, 1.0]],
+        rhs=[1.0],
+        senses=("<=",),
+        lower_bounds=[-np.inf, 0.0],
+    )
+    with pytest.raises(UnboundedLPError) as err:
+        simplex_solve(lp)
+    assert err.value.ray_index == 0
+
+
+def test_leaving_tie_goes_to_the_smallest_basis_index():
+    # max x0 + 2 x1: the last pivot's ratio test ties rows 0 and 1 (ratio 3)
+    # while their basic columns are 2 and 0; Bland's rule takes row 1, and
+    # taking the first tied row instead costs a fifth pivot
+    lp = LinearProgram(
+        objective=[1.0, 2.0],
+        constraints=[[1.0, 1.0], [2.0, -1.0], [2.0, 1.0]],
+        rhs=[2.0, 1.0, 2.0],
+        senses=("<=",) * 3,
+        lower_bounds=[0.0, 0.0],
+        maximize=True,
+    )
+    sol = simplex_solve(lp)
+    assert sol.iterations == 4
+    np.testing.assert_array_equal(sol.x, [0.0, 2.0])
+
+
+def test_benchmark3_pivot_counts():
+    # Bland's rule fixes the pivot path, so these counts move only if the
+    # pivot rule, the column order or the tableau arithmetic does
+    m, conjectures = benchmark3()
+    primal, dual = [], []
+    for q in conjectures:
+        m_k = m.with_kernel(q.kernel)
+        primal.append(simplex_solve(build_primal_lp(m_k)).iterations)
+        dual.append(simplex_solve(build_dual_lp(m_k)).iterations)
+    assert primal == [9, 9, 8, 8]
+    assert dual == [4, 4, 4, 4]
+
+
+DRIFT_EPS = np.linspace(0.05, 0.45, 8)[[5, 7]].tolist()
+
+
+@pytest.mark.parametrize("eps, pivots", zip(DRIFT_EPS, (1016, 917)), ids=map(str, DRIFT_EPS))
+def test_phase1_drift_is_not_unbounded(eps, pivots):
     # Bounded value-form LPs whose phase 1 meets an improving column with no
     # positive entry (reduced cost just past OPT_TOL): rounding drift, since
     # the artificial mass cannot fall below 0, not an unbounded ray.
@@ -98,6 +147,7 @@ def test_phase1_drift_is_not_unbounded(eps):
     m_k = m.with_kernel(mixture_kernel(m, eps).kernel)
     sol = simplex_solve(build_primal_lp(m_k))
     assert abs(sol.objective - value_iteration(m_k).sum()) <= 1e-7
+    assert sol.iterations == pivots
 
 
 def test_free_variables_and_minimization():
