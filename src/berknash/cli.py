@@ -10,8 +10,9 @@ Subcommands::
 the final parameters for zooming, and the worst primal, dual and slackness
 gaps for a duality audit.
 
-Exit codes: 0 success, 2 config/parse error (a malformed run manifest
-included), 3 validation error, 4 runtime failure.
+Exit codes: 0 success, 2 config/parse error (a malformed run manifest, or
+a summarized CSV without a column the summary reads, included), 3
+validation error, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _cmd_report(args) -> int:
     print(f"versions: {manifest['versions']}")
     for name, fname in artifacts.items():
         path = run_dir / fname
-        if path.suffix != ".csv" or not path.exists():
+        if path.suffix != ".csv" or not path.is_file():
             print(f"  {name}: {fname}")
             continue
         with open(path) as fh:

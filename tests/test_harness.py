@@ -592,3 +592,12 @@ class TestCLI:
         assert "config error" in err
         assert str(tmp_path / named[0]) in err
         assert named[1] in err
+
+    def test_report_lists_a_directory_artifact_without_summary(self, tmp_path, capsys):
+        (tmp_path / "duality.csv").mkdir()
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "experiment": "duality-audit", "seed": 11, "versions": {},
+            "artifacts": {"duality": "duality.csv"},
+        }))
+        assert cli_main(["report", str(tmp_path)]) == 0
+        assert "  duality: duality.csv\n" in capsys.readouterr().out
