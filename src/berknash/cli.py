@@ -11,8 +11,8 @@ the final parameters for zooming, and the worst primal, dual and slackness
 gaps for a duality audit.
 
 Exit codes: 0 success, 2 config/parse error (a malformed run manifest, or
-a summarized CSV without a column the summary reads, included), 3
-validation error, 4 runtime failure.
+a summarized CSV without rows or without a column the summary reads,
+included), 3 validation error, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def _cmd_report(args) -> int:
         def column(header, parse=str):
             if header not in (reader.fieldnames or ()):
                 raise ConfigError(f"{path}: no {header} column")
+            if not rows:
+                raise ConfigError(f"{path}: no rows")
             try:
                 return [parse(r[header]) for r in rows]
             except (TypeError, ValueError):  # a short row reads None

@@ -36,14 +36,6 @@ from .soft_planning import SoftPlanConfig, soft_best_response
 
 ENV_OUTPUT_DIR = "BERKNASH_OUTPUT_DIR"
 
-EXPERIMENT_KINDS = (
-    "case-study",
-    "lambda-sweep",
-    "zooming",
-    "equilibrium-report",
-    "duality-audit",
-)
-
 BENCHMARK_EPSILONS = (0.05, 0.15, 0.30, 0.45)
 
 
@@ -366,18 +358,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.kind == "case-study":
-        csvs = _run_case_study(cfg, out)
-    elif cfg.kind == "lambda-sweep":
-        csvs = _run_lambda_sweep(cfg, out)
-    elif cfg.kind == "zooming":
-        csvs = _run_zooming(cfg, out)
-    elif cfg.kind == "equilibrium-report":
-        csvs = _run_equilibrium_report(cfg, out)
-    elif cfg.kind == "duality-audit":
-        csvs = _run_duality_audit(cfg, out)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"experiment: unknown kind {cfg.kind!r}")
+    csvs = _PIPELINES[cfg.kind](cfg, out)
 
     manifest_path = out / "manifest.json"
     manifest = {
@@ -561,3 +542,14 @@ def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
         "max_slackness_violation": slackness, "occupation_policy_greedy": greedy_ok,
     })
     return {"duality": path}
+
+
+# The pipeline of each experiment kind; config validation accepts these kinds.
+_PIPELINES = {
+    "case-study": _run_case_study,
+    "lambda-sweep": _run_lambda_sweep,
+    "zooming": _run_zooming,
+    "equilibrium-report": _run_equilibrium_report,
+    "duality-audit": _run_duality_audit,
+}
+EXPERIMENT_KINDS = tuple(_PIPELINES)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -440,33 +440,22 @@ class ZoomConfig:
 
 @dataclass(frozen=True)
 class ZoomRunRecord:
-    """Trace of an adaptive run: per-round pulls plus per-epoch set surgery."""
+    """Trace of a bandit run: per-round pulls plus per-epoch set surgery.
+
+    ``selected_params`` holds the key of the arm pulled in each round: a
+    parameter value in a zooming run, a member index in :func:`run_exp3`'s.
+    """
 
     loss_scale: float
     selected_params: np.ndarray
     probs: np.ndarray
     losses: np.ndarray
-    running_mean: np.ndarray
     set_sizes: np.ndarray
     events: tuple[ZoomEvent, ...]
     final_params: tuple
     final_mean_losses: np.ndarray
     final_counts: np.ndarray
     final_weights: np.ndarray
-
-
-class _LoopTrace(NamedTuple):
-    """Per-round record of :func:`_bandit_loop` plus the arm set it ended with."""
-
-    pulled: tuple  # key of the arm pulled in each round
-    probs: np.ndarray
-    losses: np.ndarray
-    set_sizes: np.ndarray
-    events: tuple
-    keys: list
-    weights: np.ndarray
-    counts: np.ndarray
-    means: np.ndarray
 
     @property
     def running_mean(self) -> np.ndarray:
@@ -476,7 +465,7 @@ class _LoopTrace(NamedTuple):
 def _bandit_loop(
     m: MDPInstance, keys, arm_for, oracle_for, cfg: BanditConfig, loss_scale: float,
     zoom_cfg: ZoomConfig | None = None,
-) -> _LoopTrace:
+) -> ZoomRunRecord:
     """The exponential-weights loop shared by both learners.
 
     Arms are identified by keys: ``arm_for(key)`` gives the arm's
@@ -515,9 +504,17 @@ def _bandit_loop(
             events.append(event)
 
     pulled, probs, losses, set_sizes = zip(*rounds)
-    return _LoopTrace(
-        pulled, np.array(probs), np.array(losses), np.array(set_sizes),
-        tuple(events), keys, np.array(weights), np.array(counts), np.array(means),
+    return ZoomRunRecord(
+        loss_scale=loss_scale,
+        selected_params=np.array(pulled),
+        probs=np.array(probs),
+        losses=np.array(losses),
+        set_sizes=np.array(set_sizes),
+        events=tuple(events),
+        final_params=tuple(keys),
+        final_mean_losses=np.array(means),
+        final_counts=np.array(counts),
+        final_weights=np.array(weights),
     )
 
 
@@ -526,36 +523,35 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
 
     Kept arms carry their weight, count and running mean over; new arms
     start at the median kept weight with their parent's running mean as
-    prior. ``weights``, ``counts`` and ``means`` come in and go out as
-    lists. Returns the new ``(params, weights, counts, means)`` and the event.
+    prior. ``weights``, ``counts`` and ``means`` are the loop's lists.
+    Returns the new ``(params, weights, counts, means)`` and the event.
     """
-    weights, counts, means = np.array(weights), np.array(counts), np.array(means)
-    alpha = zoom_cfg.alpha(t)
-    delta = zoom_cfg.delta(t)
-    rho = zoom_cfg.rho(t)
+    delta, rho = zoom_cfg.delta(t), zoom_cfg.rho(t)
     unc = uncertainty(counts, zoom_cfg.uncertainty_scale)
     # Zoom decisions need evidence: never-pulled arms have no loss
     # estimate yet, so they are kept untouched and neither pruned
     # nor used as refinement centers.
-    pulled = np.flatnonzero(counts > 0)
-    kept_sub, pruned_sub = prune(means[pulled], unc[pulled], alpha, delta)
-    kept_idx = np.sort(
-        np.concatenate([pulled[kept_sub], np.flatnonzero(counts == 0)])
-    ).astype(int)
-    incumbent = int(pulled[np.argmin(means[pulled])])
-    best_mean = means[incumbent]
+    pulled = [k for k, n in enumerate(counts) if n > 0]
+    _, pruned_sub = prune([means[k] for k in pulled], unc[pulled], zoom_cfg.alpha(t), delta)
+    dropped = {pulled[i] for i, _ in pruned_sub}
+    kept = [k for k in range(len(params)) if k not in dropped]
+
+    def by_mean(k):
+        return means[k], k
 
     # Refinement centers: the grid is allowed to be any subset of the
     # radius-rho ball, and refining every near-optimal arm grows the
     # set geometrically (rho shrinks faster than the alpha band), so
     # resolution is added around the best still-uncertain arm only.
-    active = [int(k) for k in pulled if means[k] <= best_mean + alpha and unc[k] >= delta]
+    # prune keeps a pulled arm other than the incumbent only if it lies
+    # within alpha of the best and its uncertainty is at least delta.
+    active = [k for k in kept if counts[k] > 0 and unc[k] >= delta]
     # prune always retains the incumbent, so kept_params is nonempty
-    kept_params = [params[k] for k in kept_idx]
+    kept_params = [params[k] for k in kept]
     added: list = []
     prior = 0.0
     if active:
-        center = min(active, key=lambda k: (means[k], k))
+        center = min(active, key=by_mean)
         prior = means[center]
         fresh = refine(
             [params[center]], rho, zoom_cfg.grid_size, zoom_cfg.bounds, existing=kept_params
@@ -569,17 +565,18 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
 
     event = ZoomEvent(
         t=t,
-        incumbent_param=params[incumbent],
+        incumbent_param=params[min(pulled, key=by_mean)],
         kept=tuple(kept_params),
         pruned=tuple((params[pulled[i]], why) for i, why in pruned_sub),
         added=tuple(added),
     )
-    median_w = float(np.median(weights[kept_idx]))
-    weights = np.concatenate([weights[kept_idx], np.full(len(added), median_w)])
-    weights /= weights.max()
-    counts = np.concatenate([counts[kept_idx], np.zeros(len(added), dtype=int)])
-    means = np.concatenate([means[kept_idx], np.full(len(added), prior)])
-    return kept_params + added, weights.tolist(), counts.tolist(), means.tolist(), event
+    kept_w = [weights[k] for k in kept]
+    # the median of the kept weights is never above their max
+    top = max(kept_w)
+    weights = [w / top for w in kept_w + [float(np.median(kept_w))] * len(added)]
+    counts = [counts[k] for k in kept] + [0] * len(added)
+    means = [means[k] for k in kept] + [prior] * len(added)
+    return kept_params + added, weights, counts, means, event
 
 
 def run_exp3(
@@ -601,7 +598,7 @@ def run_exp3(
     run = _bandit_loop(m, range(len(cs)), lambda k: (cs.members[k], policies[k]),
                        lambda k: float(oracle[k]), cfg, loss_scale)
 
-    arms = np.array(run.pulled, dtype=int)
+    arms = run.selected_params
     steps = np.arange(1, cfg.horizon + 1)
     return Exp3RunRecord(
         labels=tuple(q.label for q in cs),
@@ -640,33 +637,14 @@ def run_zoom_exp3(
     if not params:
         raise ValueError("initial conjecture set must be nonempty")
 
-    arms: dict[float, tuple] = {}  # param -> (conjecture, policy)
-    oracle_cache: dict[float, float] = {}
+    @cache
+    def arm_for(p):  # (conjecture, policy)
+        q = family(p)
+        return q, soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0]
 
-    def arm_for(p):
-        if p not in arms:
-            q = family(p)
-            arms[p] = (q, soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0])
-        return arms[p]
-
+    @cache
     def oracle_for(p):
-        if p not in oracle_cache:
-            oracle_cache[p] = oracle_loss(m, *arm_for(p), loss_scale)
-        return oracle_cache[p]
+        return oracle_loss(m, *arm_for(p), loss_scale)
 
     loss_scale = resolve_loss_scale(m, [arm_for(p)[0] for p in params], cfg)
-    run = _bandit_loop(m, params, arm_for, oracle_for, cfg, loss_scale, zoom_cfg)
-
-    return ZoomRunRecord(
-        loss_scale=loss_scale,
-        selected_params=np.array(run.pulled, dtype=float),
-        probs=run.probs,
-        losses=run.losses,
-        running_mean=run.running_mean,
-        set_sizes=run.set_sizes,
-        events=run.events,
-        final_params=tuple(run.keys),
-        final_mean_losses=run.means,
-        final_counts=run.counts,
-        final_weights=run.weights,
-    )
+    return _bandit_loop(m, params, arm_for, oracle_for, cfg, loss_scale, zoom_cfg)

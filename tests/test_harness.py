@@ -576,9 +576,15 @@ class TestCLI:
              "arm,label,count\n0,eps=0.05,3000\n", ("frequencies.csv", "frequency")),
             ("zooming", {"final_set": "final_set.csv"}, "arm,param\n0\n",
              ("final_set.csv", "param")),
+            ("duality-audit", {"duality": "duality.csv"},
+             "conjecture,primal_gap,dual_gap,max_slackness_violation\n",
+             ("duality.csv", "no rows")),
+            ("zooming", {"param_trace": "param_trace.csv"},
+             "t,param,prob,loss,running_mean,set_size\n", ("param_trace.csv", "no rows")),
         ],
         ids=["artifacts-list", "artifacts-not-names", "duality-no-primal-gap",
-             "frequencies-no-frequency", "final-set-short-row"],
+             "frequencies-no-frequency", "final-set-short-row", "duality-no-rows",
+             "param-trace-no-rows"],
     )
     def test_report_mismatched_artifacts(self, tmp_path, capsys, experiment, artifacts,
                                          csv_text, named):

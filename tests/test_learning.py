@@ -546,6 +546,36 @@ class TestRunZoomExp3:
         for i in range(len(boundary) - 1):
             assert rm[boundary[i + 1]] <= rm[boundary[i]] + 0.02
 
+    # (events, suboptimal prunes, converged prunes, added arms, final set size,
+    # never-pulled final arms) of seed-11 runs from the six-point initial grid:
+    # the default zooming pipeline, and a schedule whose delta0 = 0.2 at
+    # uncertainty_scale 0.5 prunes arms as converged after 7 pulls.
+    @pytest.mark.parametrize(
+        "horizon, zoom, expected",
+        [
+            (1500, {}, (15, 9, 0, 16, 13, 1)),
+            (600, {"zoom_interval": 15, "alpha0": 0.3, "delta0": 0.2, "uncertainty_scale": 0.5},
+             (40, 6, 56, 70, 14, 0)),
+        ],
+        ids=["default", "converged-prunes"],
+    )
+    def test_frozen_zoom_counts(self, horizon, zoom, expected):
+        m, family = self._setup()
+        rec = run_zoom_exp3(
+            m, family, list(np.linspace(0, 0.5, 6)), BanditConfig(horizon=horizon, rng_seed=11),
+            ZoomConfig(**zoom), SoftPlanConfig(temperature=0.1),
+        )
+        reasons = [why for ev in rec.events for _, why in ev.pruned]
+        assert (
+            len(rec.events), reasons.count("suboptimal"), reasons.count("converged"),
+            sum(len(ev.added) for ev in rec.events), len(rec.final_params),
+            int(np.sum(rec.final_counts == 0)),
+        ) == expected
+        sizes = rec.set_sizes.tolist() + [len(rec.final_params)]
+        for ev in rec.events:
+            assert len(ev.kept) + len(ev.pruned) == sizes[ev.t - 1]
+            assert len(ev.kept) + len(ev.added) == sizes[ev.t]
+
     def test_empty_initial_set_rejected(self):
         m, family = self._setup()
         with pytest.raises(ValueError, match="nonempty"):
