@@ -7,7 +7,7 @@ written with 17 significant digits so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
+import functools
 import json
 import math
 import os
@@ -187,6 +187,10 @@ def _reject_unknown(spec: dict, known, prefix: str) -> None:
         raise ConfigError(f"unknown fields: {', '.join(f'{prefix}.{k}' for k in sorted(unknown))}")
 
 
+# a section's field annotations, resolved once per class
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _build(data: dict, name: str, **preset):
     """Config section ``name`` as its dataclass, its keys laid over ``preset``.
 
@@ -198,7 +202,7 @@ def _build(data: dict, name: str, **preset):
         raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
     cls = SECTIONS[name]
     _reject_unknown(section, _config_fields(cls), name)
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for key, value in section.items():
         preset[key] = _typed(value, hints[key], f"{name}.{key}")
     try:
@@ -339,17 +343,47 @@ def _fmt(value) -> str:
     raise TypeError(f"CSV cell must be a Python float, int, bool or str, got {value!r}")
 
 
+def _quote(cell: str) -> str:
+    """``cell`` as one CSV field, quoted with inner quotes doubled if it holds
+    a comma, a quote or a line break (``\\n`` or ``\\r``)."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_csv(path: Path, columns: dict) -> None:
     """Write ``columns``, a dict from name to equal-length sequence, as a CSV.
 
     The keys in order are the header; numpy arrays become Python values by
-    ``.tolist()``. Columns of unequal length raise ValueError.
+    ``.tolist()``. Each row is written through one %-template with a field
+    per column, chosen by the column's cell types: ``%.17g`` if every cell
+    is a float, ``%d`` if every cell is an int, and ``%s`` otherwise, over
+    each distinct string quoted once (an all-str column) or each cell's
+    ``_quote(_fmt(v))`` (any other column). Every cell so reads as ``_fmt``
+    writes it, and a cell ``_fmt`` rejects raises TypeError. A file has at
+    least two columns (a lone blank field would need quotes). Columns of
+    unequal length raise ValueError.
     """
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    fields, cells = [], []
+    for column in columns.values():
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            fields.append("%.17g")
+        elif kinds == {int}:
+            fields.append("%d")
+        else:
+            fields.append("%s")
+            if kinds == {str}:
+                # by value only here: as dict keys, 0.0 == -0.0 and True == 1
+                values = map({v: _quote(v) for v in set(values)}.__getitem__, values)
+            else:
+                values = (_quote(_fmt(v)) for v in values)
+        cells.append(values)
+    template = ",".join(fields) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in zip(*cells, strict=True))
+        fh.write(",".join(map(_quote, columns)) + "\n")
+        fh.writelines(map(template.__mod__, zip(*cells, strict=True)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:

@@ -1,10 +1,13 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berknash import (
     BanditConfig,
@@ -23,6 +26,7 @@ from berknash import (
     stationary_distribution,
     validate_instance,
 )
+from berknash import harness
 from berknash.cli import main as cli_main
 from berknash.harness import LambdaGridConfig, _fmt, _write_csv
 
@@ -321,6 +325,23 @@ class TestRunExperiment:
         assert pulls
         assert all(re.fullmatch(r'\d+,1,"k,1""q",,[^,"]+(,[^,"]+){3}', line) for line in pulls)
 
+    def test_labels_with_line_breaks_read_back(self, tmp_path, capsys):
+        m, _ = benchmark3()
+        uniform = np.full(m.kernel.shape, 1.0 / m.num_states)
+        labels = ["a\rb", "c,d", 'e"f', "g\nh"]
+        cfg = self._cfg(tmp_path, "case-study", {
+            "bandit": {"horizon": 100},
+            "conjectures": {"kernels": [
+                {"kernel": (w * m.kernel + (1 - w) * uniform).tolist(), "label": label}
+                for w, label in zip((1.0, 0.7, 0.4, 0.1), labels)
+            ]},
+        })
+        artifacts = run_experiment(cfg)
+        with open(artifacts.csv_paths["frequencies"], newline="") as fh:
+            assert [r["label"] for r in csv.DictReader(fh)] == labels
+        assert cli_main(["report", str(artifacts.output_dir)]) == 0
+        assert "frequency" in capsys.readouterr().out
+
     def test_zooming_without_zoom_event_writes_header_only(self, tmp_path):
         cfg = self._cfg(tmp_path, "zooming",
                         {"bandit": {"horizon": 50}, "zoom": {"zoom_interval": 100}})
@@ -369,6 +390,83 @@ def test_fmt_cells():
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "bad.csv", {"a": [1, 2], "b": [0.5]})
+
+
+def _write_csv_reference(path, columns):
+    """The writer before row templates: ``csv.writer`` over ``_fmt`` of every cell."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in zip(*cells, strict=True))
+
+
+def _assert_same_bytes(tmp_path, columns):
+    _write_csv(tmp_path / "new.csv", columns)
+    _write_csv_reference(tmp_path / "ref.csv", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_matches_reference_on_default_pipelines(tmp_path, monkeypatch):
+    captured = []
+
+    def capture(path, columns):
+        captured.append(columns)
+        write_csv(path, columns)
+
+    write_csv = harness._write_csv
+    monkeypatch.setattr(harness, "_write_csv", capture)
+    for kind in harness.EXPERIMENT_KINDS:
+        run_experiment(config_from_dict(
+            {"experiment": kind, "seed": 11, "output_dir": str(tmp_path / kind)}))
+    assert len(captured) == 9
+    for columns in captured:
+        _assert_same_bytes(tmp_path, columns)
+
+
+_CELLS = {
+    "float": st.floats(allow_subnormal=True) | st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    # csv.writer leaves a bare \r unquoted, where _write_csv quotes it
+    "str": st.text(st.characters(min_codepoint=1, max_codepoint=127,
+                                 blacklist_characters="\r"), max_size=6)
+    | st.sampled_from(["", ",", '"', "\n", 'a,"b"\nc']),
+}
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 6))
+    kinds = [*_CELLS.values(), st.one_of(*_CELLS.values())]  # one type, or mixed
+    return {f"c{j}": draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows))
+            for j in range(draw(st.integers(2, 5)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_tables())
+def test_write_csv_matches_reference_on_mixed_tables(tmp_path_factory, columns):
+    _assert_same_bytes(tmp_path_factory.mktemp("csv"), columns)
+
+
+def test_write_csv_mixed_column_writes_cells_as_fmt(tmp_path):
+    cells = ["", 0.0, -0.0, True, 1, 1.0, math.nan]
+    _write_csv(tmp_path / "mixed.csv", {"i": range(len(cells)), "v": cells})
+    lines = (tmp_path / "mixed.csv").read_text().splitlines()
+    assert lines == ["i,v", "0,", "1,0", "2,-0", "3,true", "4,1", "5,1", "6,nan"]
+
+
+@pytest.mark.parametrize("bad", [np.float64(0.1), np.int64(7), None])
+@pytest.mark.parametrize("mixed", [False, True], ids=["alone", "mixed"])
+def test_write_csv_rejects_non_python_cells(tmp_path, bad, mixed):
+    with pytest.raises(TypeError):
+        _write_csv(tmp_path / "bad.csv", {"a": [1, 2], "b": [0.5 if mixed else bad, bad]})
+
+
+def test_write_csv_zero_rows_writes_header_only(tmp_path):
+    _write_csv(tmp_path / "empty.csv", {"a": [], "b": range(0), "c": np.array([])})
+    assert (tmp_path / "empty.csv").read_text() == "a,b,c\n"
 
 
 class TestCLI:
