@@ -66,13 +66,18 @@ def _cmd_benchmark3(args) -> int:
     return EXIT_OK
 
 
+def _escaped(text: str) -> str:
+    """``text`` with backslashes and unprintable characters escaped as in a literal."""
+    return "".join(c if c.isprintable() and c != "\\" else repr(c)[1:-1] for c in text)
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.rundir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json in {run_dir}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{manifest_path}: parse error at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -93,7 +98,7 @@ def _cmd_report(args) -> int:
         if path.suffix != ".csv" or not path.is_file():
             print(f"  {name}: {fname}")
             continue
-        with open(path) as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
 
@@ -111,7 +116,7 @@ def _cmd_report(args) -> int:
         if manifest["experiment"] == "case-study" and name == "frequencies":
             for arm, label, freq in zip(column("arm"), column("label"),
                                         column("frequency", float)):
-                print(f"    arm {arm} ({label}): frequency {freq:.4f}")
+                print(f"    arm {arm} ({_escaped(label)}): frequency {freq:.4f}")
         if manifest["experiment"] == "zooming" and name == "final_set":
             params = sorted(column("param", float))
             print(f"    final params: {[round(p, 6) for p in params]}")

@@ -320,9 +320,11 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config from disk."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -381,7 +383,7 @@ def _write_csv(path: Path, columns: dict) -> None:
                 values = (_quote(_fmt(v)) for v in values)
         cells.append(values)
     template = ",".join(fields) + "\n"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_quote, columns)) + "\n")
         fh.writelines(map(template.__mod__, zip(*cells, strict=True)))
 
@@ -407,7 +409,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
         "artifacts": {name: path.name for name, path in csvs.items()},
         "wall_clock_seconds": time.perf_counter() - start,
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8")
     return RunArtifacts(output_dir=out, manifest_path=manifest_path, csv_paths=csvs)
 
 
@@ -536,7 +539,7 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
     eq_path = out / "equilibria.csv"
     _write_csv(eq_path, columns)
     summary_path = out / "summary.txt"
-    summary_path.write_text("\n".join(summary_lines) + "\n")
+    summary_path.write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
     return {"equilibria": eq_path, "summary": summary_path}
 
 

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -140,8 +140,8 @@ class BanditConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 < self.exploration < 1.0):
             raise ValueError(f"exploration must lie in (0, 1), got {self.exploration}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon < 2**32:
+            raise ValueError(f"horizon must lie in [1, 2**32), got {self.horizon}")
         if self.loss_estimator not in ("oracle", "rollout"):
             raise ValueError(f"unknown loss_estimator {self.loss_estimator!r}")
         if self.rollout_horizon < 1:
@@ -268,11 +268,24 @@ def rollout_loss(
     Conjecture rows containing zeros are smoothed the same way so the
     plug-in stays finite.
 
-    Each step samples by inverse CDF from pre-drawn uniforms: the action and
-    the next state are ``bisect_right`` on a cumulative row, held as a
-    Python list so a step makes no numpy call. Every row's last entry is
-    replaced by ``inf``; since the uniforms are below 1, this clips a draw
-    that lands past a cumulative sum rounded below 1 to the last index.
+    Each step samples by inverse CDF from pre-drawn uniforms and makes one
+    ``bisect_right``. The actions of all steps are drawn at once: ``cuts``
+    holds every policy cut point (each cumulative row of π without its last
+    entry) in sorted order, and a step's rank r is the number of cuts at or
+    below its action uniform. ``act[x, r]`` is the number of entries of
+    ``cum_pi[x, :-1]`` at or below the r-th smallest cut (r = 0 stands for
+    −inf), which is the action state x draws: no cut lies strictly between
+    the r-th cut and the uniform, so in every state the entries at or below
+    one are those at or below the other. The walk reads
+    ``x = bisect_right(row_at[x][r], u)``, where ``row_at[x][r]`` is the
+    cumulative kernel row of ``(x, act[x, r])`` as a Python list, and
+    records x; one ``np.bincount`` over the recorded path counts the
+    transitions after burn-in. Every kernel row's last entry is replaced by
+    ``inf``, and no policy row's last entry is a cut; since the uniforms are
+    below 1, this clips a draw that lands past a cumulative sum rounded below
+    1 to the last index. Each decision is still one float comparison of an
+    untouched uniform with an untouched cumulative sum, so the estimate is
+    the per-step search's, bit for bit.
     """
     S, A = m.num_states, m.num_actions
     H = cfg.rollout_horizon
@@ -285,20 +298,27 @@ def rollout_loss(
     u = rng.random((H, 2))
     x = min(int(np.searchsorted(cum_init, rng.random(), side="right")), S - 1)
 
-    cum_pi[:, -1] = np.inf
+    cuts = np.sort(cum_pi[:, :-1], axis=None)
+    ranks = np.searchsorted(cuts, u[:, 0], side="right")
+    # state x draws action a + 1 or later from rank start[x, a] on; runs[x, a]
+    # counts the ranks at which it draws a
+    start = np.searchsorted(cuts, cum_pi[:, :-1], side="left") + 1
+    runs = np.diff(start, prepend=0, append=cuts.size + 1, axis=1)
+    act = np.repeat(np.tile(np.arange(A), S), runs.ravel()).reshape(S, cuts.size + 1)
     cum_kernel[:, :, -1] = np.inf
-    cum_pi, cum_kernel = cum_pi.tolist(), cum_kernel.tolist()
-    u_act, u_next = memoryview(u[:, 0].copy()), memoryview(u[:, 1].copy())
-    for ua, uy in zip(u_act[:burn_in], u_next[:burn_in]):
-        a = bisect_right(cum_pi[x], ua)
-        x = bisect_right(cum_kernel[x][a], uy)
-    flat = [0] * (S * A * S)
-    for ua, uy in zip(u_act[burn_in:], u_next[burn_in:]):
-        a = bisect_right(cum_pi[x], ua)
-        y = bisect_right(cum_kernel[x][a], uy)
-        flat[(x * A + a) * S + y] += 1
-        x = y
-    counts = np.array(flat, dtype=float).reshape(S, A, S)
+    row_at = [list(chain.from_iterable(map(repeat, rows, runs_x)))
+              for rows, runs_x in zip(cum_kernel.tolist(), runs.tolist())]
+
+    path = [x]
+    append = path.append
+    for r, uy in zip(ranks.tolist(), memoryview(u[:, 1])):
+        x = bisect_right(row_at[x][r], uy)
+        append(x)
+    xs = np.fromiter(path, np.intp, H + 1)
+    x_t = xs[burn_in:-1]
+    a_t = act[x_t, ranks[burn_in:]]
+    counts = np.bincount((x_t * A + a_t) * S + xs[burn_in + 1:], minlength=S * A * S)
+    counts = counts.reshape(S, A, S).astype(float)
 
     visits = counts.sum(axis=2)
     p_hat = (counts + alpha) / (visits + S * alpha)[:, :, None]

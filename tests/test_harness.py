@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +345,23 @@ class TestRunExperiment:
         assert cli_main(["report", str(artifacts.output_dir)]) == 0
         assert "frequency" in capsys.readouterr().out
 
+    def test_report_prints_escaped_labels_on_one_line(self, tmp_path, capsys):
+        m, _ = benchmark3()
+        labels = ["a\rb", "c\\rd", "g\nh", "été"]
+        cfg = self._cfg(tmp_path, "case-study", {
+            "bandit": {"horizon": 20},
+            "conjectures": {"kernels": [{"kernel": m.kernel.tolist(), "label": label}
+                                        for label in labels]},
+        })
+        artifacts = run_experiment(cfg)
+        capsys.readouterr()
+        assert cli_main(["report", str(artifacts.output_dir)]) == 0
+        arm_lines = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("    arm ")]
+        shown = [re.fullmatch(r"    arm \d \((.*)\): frequency [0-9.]+", line)[1]
+                 for line in arm_lines]
+        assert shown == ["a\\rb", "c\\\\rd", "g\\nh", "été"]
+
     def test_zooming_without_zoom_event_writes_header_only(self, tmp_path):
         cfg = self._cfg(tmp_path, "zooming",
                         {"bandit": {"horizon": 50}, "zoom": {"zoom_interval": 100}})
@@ -617,6 +637,8 @@ class TestCLI:
             (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
                 "kernels": [{"label": "a"}]}}),
              "conjectures.kernels[0]: missing field 'kernel'"),
+            (json.dumps({"experiment": "case-study", "bandit": {"horizon": 2**32}}),
+             "bandit: horizon must lie in [1, 2**32), got 4294967296"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -630,7 +652,7 @@ class TestCLI:
              "param-list", "param-str", "param-bool", "param-nan", "label-int",
              "kernel-item-typo", "epsilons-and-kernels", "kernel-item-str",
              "conjectures-typo", "mdp-typo", "negative-seed", "zoom-bounds-above-one",
-             "zoom-bounds-unreached", "kernel-item-missing-kernel"],
+             "zoom-bounds-unreached", "kernel-item-missing-kernel", "horizon-2**32"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
@@ -648,6 +670,41 @@ class TestCLI:
             "bandit": {"exploration": 2.0},
         }))
         assert cli_main(["run", str(cfg_path)]) == 2
+
+    def test_run_writes_utf8_under_posix_locale(self, tmp_path):
+        m, _ = benchmark3()
+        config = {
+            "experiment": "case-study",
+            "bandit": {"horizon": 30},
+            "conjectures": {"kernels": [{"kernel": m.kernel.tolist(), "label": "été"},
+                                        {"kernel": m.kernel.tolist(), "label": "q→1"}]},
+        }
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        env.pop("BERKNASH_OUTPUT_DIR", None)
+        written = {}
+        for name, env_locale in (
+            ("posix", {"LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+            ("utf8", {"PYTHONUTF8": "1"}),
+        ):
+            out = tmp_path / name
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps({**config, "output_dir": str(out)}, ensure_ascii=False),
+                                encoding="utf-8")
+            proc = subprocess.run([sys.executable, "-m", "berknash.cli", "run", str(cfg_path)],
+                                  env={**env, **env_locale}, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            written[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        assert written["posix"] == written["utf8"]
+        assert "été".encode() in written["posix"]["frequencies.csv"]
+
+    def test_config_not_utf8_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"experiment": "case-study", "output_dir": "été"}'.encode("latin-1"))
+        assert cli_main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
 
     def test_report_missing_rundir(self, tmp_path, capsys):
         assert cli_main(["report", str(tmp_path / "nope")]) == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berknash import (
     BanditConfig,
@@ -264,6 +266,52 @@ def test_rollout_loss_clips_and_breaks_ties_like_searchsorted():
     u[::3] = np.nextafter(1.0, 0.0)
     u[1::3] = 0.7
     cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=40, loss_scale=1e3)
+    got = rollout_loss(m, q, pi, cfg, 1e3, _FixedUniforms(u))
+    assert got == _rollout_loss_reference(m, q, pi, cfg, 1e3, _FixedUniforms(u))
+
+
+@st.composite
+def _rollout_walks(draw):
+    """A small instance whose rows come from a pool of two or three per row
+    length, with integer weights 0..3: cut points repeat across states, and
+    zero-probability actions and one-hot rows are common. About half of the
+    uniforms sit exactly on a cut point below 1."""
+    S, A, H = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 60))
+
+    def pool(n):
+        weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+        return [np.array(w) / sum(w) for w in draw(st.lists(weights, min_size=2, max_size=3))]
+
+    def rows(n, count):
+        choices = pool(n)
+        return np.array([choices[i] for i in draw(
+            st.lists(st.integers(0, len(choices) - 1), min_size=count, max_size=count))])
+
+    kernel = rows(S, S * A).reshape(S, A, S)
+    m = MDPInstance(kernel=kernel, rewards=np.zeros((S, A)), discount=0.9,
+                    initial_dist=rows(S, 1)[0])
+    q = SubjectiveKernel(kernel=rows(S, S * A).reshape(S, A, S), label="q")
+    pi = rows(A, S)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def uniforms(cums):
+        u = rng.random(H)
+        cuts = cums[cums < 1.0]
+        if cuts.size:
+            on_cut = rng.random(H) < 0.5
+            u[on_cut] = rng.choice(cuts, size=on_cut.sum())
+        return u
+
+    u = np.column_stack([uniforms(np.cumsum(pi, axis=1)), uniforms(np.cumsum(kernel, axis=2))])
+    return m, q, pi, u
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rollout_walks())
+def test_rollout_loss_matches_reference_on_shared_cuts(case):
+    m, q, pi, u = case
+    cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=len(u), loss_scale=1e3)
     got = rollout_loss(m, q, pi, cfg, 1e3, _FixedUniforms(u))
     assert got == _rollout_loss_reference(m, q, pi, cfg, 1e3, _FixedUniforms(u))
 
