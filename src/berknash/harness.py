@@ -549,8 +549,11 @@ def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
         m_k = cfg.instance.with_kernel(member.kernel)
         v = value_iteration(m_k)
         lp = build_primal_lp(m_k)
-        primal = simplex_solve(lp)
-        dual = simplex_solve(build_dual_lp(m_k))
+        try:
+            primal = simplex_solve(lp)
+            dual = simplex_solve(build_dual_lp(m_k))
+        except ValueError as err:
+            raise ValueError(f"model {member.label!r} at discount {m_k.discount!r}: {err}") from err
         eta = dual.x.reshape(cfg.instance.num_states, cfg.instance.num_actions)
         primal_obj.append(primal.objective)
         vi_sum.append(float(v.sum()))

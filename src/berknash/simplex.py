@@ -1,8 +1,9 @@
 """Dense tableau simplex for the small LPs built by the planning module.
 
 Two-phase method with Bland's anti-cycling rule. Instances here are tiny
-(tens of variables), so the full dense tableau is the simplest correct
-choice; no sparsity or revised-simplex machinery.
+(tens of variables), so one dense tableau serves both phases, with no
+sparsity or revised-simplex machinery. It holds the standard-form columns
+only: no artificial may ever enter, so phase 1's basis holds them as indices.
 """
 
 from __future__ import annotations
@@ -101,19 +102,19 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(T: np.ndarray, basis: np.ndarray, allowed: int, ray_map=None) -> int:
+def _bland_iterate(T: np.ndarray, basis: np.ndarray, ray_map=None) -> int:
     """Run Bland-rule pivots until optimal; return iteration count.
 
     T[-1, :-1] holds the reduced costs and T[-1, -1] minus the current
-    objective value. Only columns < ``allowed`` may enter the basis, which
-    keeps phase-1 artificials out of phase 2. ``ray_map`` maps a standard
-    column to the variable an unbounded ray reports; phase 1 passes none.
+    objective value. Every column of T may enter; a basic artificial, which
+    may not, is only its index (past T's columns) in ``basis``. ``ray_map``
+    maps a standard column to an unbounded ray's variable; phase 1 passes none.
     """
     iterations = 0
     max_iters = 200 * (T.shape[0] + T.shape[1]) + 10_000
-    skipped = np.zeros(allowed, dtype=bool)
+    skipped = np.zeros(T.shape[1] - 1, dtype=bool)
     while True:
-        improving = (T[-1, :allowed] < -OPT_TOL) & ~skipped
+        improving = (T[-1, :-1] < -OPT_TOL) & ~skipped
         entering = improving.argmax()
         if not improving[entering]:
             return iterations
@@ -140,21 +141,20 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, allowed: int, ray_map=None)
             raise RuntimeError("simplex failed to terminate (pivot cap reached)")
 
 
-def _objective_row(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
+def _objective_row(T: np.ndarray, cost: np.ndarray, basic_cost: np.ndarray) -> None:
     T[-1, :-1] = cost
     T[-1, -1] = 0.0
-    cb = cost[basis]
     # row by row, in row order: a matrix product would sum in another order
-    for i in cb.nonzero()[0]:
-        T[-1] -= cb[i] * T[i]
+    for i in basic_cost.nonzero()[0]:
+        T[-1] -= basic_cost[i] * T[i]
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexSolution:
     """Solve ``lp`` by two-phase dense tableau simplex with Bland's rule.
 
-    Raises InfeasibleLPError / UnboundedLPError; otherwise the returned point
-    satisfies all rows within OPT_TOL (relative to the largest right-hand
-    side, at least 1) and reduced costs >= -OPT_TOL.
+    Raises InfeasibleLPError / UnboundedLPError, or ValueError on drift;
+    otherwise the returned point satisfies all rows within OPT_TOL (relative
+    to the largest right-hand side, at least 1) and reduced costs >= -OPT_TOL.
     """
     n = lp.num_vars
     m = lp.num_rows
@@ -180,19 +180,16 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
     ray_map = np.concatenate([split, np.arange(n_split, n_std)])
 
     # Phase 1: rows with b >= 0, artificial basis, minimize artificial mass.
-    T = np.zeros((m + 1, n_std + m + 1))
+    T = np.zeros((m + 1, n_std + 1))
     T[:m, :n_split] = sign * lp.constraints[:, split]
     T[slack_rows, np.arange(n_split, n_std)] = np.where(
         senses[slack_rows] == "<=", 1.0, -1.0
     )
     T[:m, -1] = b_std
     T[:m][b_std < 0.0] *= -1.0
-    T[:m, n_std:-1] = np.eye(m)
     basis = np.arange(n_std, n_std + m)
-    cost1 = np.zeros(n_std + m)
-    cost1[n_std:] = 1.0
-    _objective_row(T, basis, cost1)
-    iters = _bland_iterate(T, basis, allowed=n_std)
+    _objective_row(T, np.zeros(n_std), np.ones(m))
+    iters = _bland_iterate(T, basis)
 
     phase1_obj = -T[-1, -1]
     if phase1_obj > OPT_TOL * max(1.0, np.abs(b_std).max()):
@@ -201,7 +198,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
     # Drive lingering artificials out of the basis; drop redundant rows.
     keep = np.ones(m, dtype=bool)
     for i in (basis >= n_std).nonzero()[0]:
-        nonzero = (np.abs(T[i, :n_std]) > PIVOT_TOL).nonzero()[0]
+        nonzero = (np.abs(T[i, :-1]) > PIVOT_TOL).nonzero()[0]
         if nonzero.size:
             _pivot(T, basis, i, nonzero[0])
         else:
@@ -211,10 +208,9 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
         basis = basis[keep]
         m = int(keep.sum())
 
-    # Phase 2 on the original objective, artificial columns excluded.
-    T = np.hstack([T[:, :n_std], T[:, -1:]])
-    _objective_row(T, basis, c_std)
-    iters += _bland_iterate(T, basis, allowed=n_std, ray_map=ray_map)
+    # Phase 2 on the original objective.
+    _objective_row(T, c_std, c_std[basis])
+    iters += _bland_iterate(T, basis, ray_map=ray_map)
 
     x_std = np.zeros(n_std)
     x_std[basis] = T[:m, -1]
@@ -224,7 +220,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexSolution:
 
     residual = _feasibility_residual(lp, x)
     if residual > OPT_TOL * max(1.0, np.abs(lp.rhs).max()):
-        raise RuntimeError(f"simplex produced residual {residual:.3g} (tableau drift)")
+        raise ValueError(f"simplex produced residual {residual:.3g} (tableau drift)")
     return SimplexSolution(x=x, objective=float(lp.objective @ x), iterations=iters)
 
 

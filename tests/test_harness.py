@@ -671,6 +671,21 @@ class TestCLI:
         }))
         assert cli_main(["run", str(cfg_path)]) == 2
 
+    def test_duality_audit_drift_names_model_and_discount(self, tmp_path, capsys, monkeypatch):
+        # near beta = 1 the simplex's answer misses its rows by more than
+        # OPT_TOL; that is a validation failure of one model's LP (exit 3)
+        monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
+        m, _ = benchmark3()
+        mdp = {"kernel": m.kernel.tolist(), "rewards": m.rewards.tolist(),
+               "discount": 1 - 1e-8, "initial_dist": m.initial_dist.tolist()}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "duality-audit", "mdp": mdp,
+                                        "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "model 'eps=0.3' at discount 0.99999999: " in err
+        assert "(tableau drift)" in err
+
     def test_run_writes_utf8_under_posix_locale(self, tmp_path):
         m, _ = benchmark3()
         config = {

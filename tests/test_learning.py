@@ -256,11 +256,14 @@ class _FixedUniforms:
 def test_rollout_loss_clips_and_breaks_ties_like_searchsorted():
     # cumsum([0.7, 0.1, 0.1, 0.1]) ends at 1 - 2**-53, so the largest
     # uniform lands past every entry and must be clipped to the last index;
-    # a uniform equal to an entry (0.7) must fall to its right.
+    # a uniform equal to an entry (0.7) must fall to its right. Action a
+    # rolls the row by a, and the conjecture is the true kernel, so the loss
+    # depends on which action each step draws; the rolled rows of actions
+    # 0-2 still sum to below 1, so the clip stays covered.
     row = [0.7, 0.1, 0.1, 0.1]
-    m = MDPInstance(kernel=np.tile(row, (4, 4, 1)), rewards=np.zeros((4, 4)),
-                    discount=0.9, initial_dist=row)
-    q = SubjectiveKernel(kernel=np.full((4, 4, 4), 0.25), label="uniform")
+    kernel = np.array([[np.roll(row, a) for a in range(4)]] * 4)
+    m = MDPInstance(kernel=kernel, rewards=np.zeros((4, 4)), discount=0.9, initial_dist=row)
+    q = SubjectiveKernel(kernel=kernel, label="true")
     pi = np.tile(row, (4, 1))
     u = np.random.default_rng(5).random((40, 2))
     u[::3] = np.nextafter(1.0, 0.0)

@@ -118,6 +118,24 @@ def test_leaving_tie_goes_to_the_smallest_basis_index():
     np.testing.assert_array_equal(sol.x, [0.0, 2.0])
 
 
+def test_zero_row_artificial_is_driven_out():
+    # max x0 + x1 subject to x1 = 1, -x0 = 0: phase 1 pivots x1 in for row 0
+    # and stops with row 1's artificial basic at level 0; the drive-out loop
+    # then pivots x0 into row 1 before phase 2, which needs no pivot
+    lp = LinearProgram(
+        objective=[1.0, 1.0],
+        constraints=[[0.0, 1.0], [-1.0, 0.0]],
+        rhs=[1.0, 0.0],
+        senses=("=", "="),
+        lower_bounds=[0.0, 0.0],
+        maximize=True,
+    )
+    sol = simplex_solve(lp)
+    np.testing.assert_array_equal(sol.x, [0.0, 1.0])
+    assert sol.objective == 1.0
+    assert sol.iterations == 1
+
+
 def test_benchmark3_pivot_counts():
     # Bland's rule fixes the pivot path, so these counts move only if the
     # pivot rule, the column order or the tableau arithmetic does
