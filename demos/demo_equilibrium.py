@@ -1,9 +1,9 @@
 """Finding self-confirming model-policy pairs over a finite conjecture set.
 
-Enumerates candidates model by model, shows the divergence vectors that
-decide statistical consistency, and verifies each hit through the coupled
-feasibility system (subjective flow, true frequencies, policy consistency,
-KL minimality).
+Finds one best response per model, shows the divergence vectors that
+decide statistical consistency and the KL margin each model holds over its
+nearest rival, and verifies each hit through the coupled feasibility system
+(subjective flow, true frequencies, policy consistency, KL minimality).
 """
 
 import numpy as np
@@ -28,9 +28,9 @@ for mode, temp in (("hard", None), ("soft", 0.1)):
     for diag in report.diagnostics:
         divs = ("-" if diag.divergence_vector is None
                 else np.array2string(diag.divergence_vector, precision=5))
+        margin = "-" if diag.kl_margin is None else f"{diag.kl_margin:.4g}"
         mark = "EQUILIBRIUM" if diag.accepted else diag.reason
-        print(f"  model {diag.model_index} ({diag.label}, {diag.policy_kind}): "
-              f"D={divs}  -> {mark}")
+        print(f"  model {diag.model_index} ({diag.label}): D={divs}  margin={margin}  -> {mark}")
 
 # the smooth selection objective agrees with the enumeration
 best, objective = entropy_bn_select(m, cs, temperature=0.1)

@@ -7,8 +7,9 @@ Subcommands::
     berknash report <rundir>          summarize a finished run directory
 
 ``report`` adds a per-pipeline summary: arm frequencies for a case study,
-the final parameters for zooming, and the worst primal, dual and slackness
-gaps for a duality audit.
+the final parameters for zooming, the accepted models and their KL margins
+per mode for an equilibrium report, and the worst primal, dual and
+slackness gaps for a duality audit.
 
 Exit codes: 0 success, 2 config/parse error (a malformed run manifest, or
 a summarized CSV without rows or without a column the summary reads,
@@ -102,13 +103,13 @@ def _cmd_report(args) -> int:
             reader = csv.DictReader(fh)
             rows = list(reader)
 
-        def column(header, parse=str):
+        def column(header, parse=str, of=rows):
             if header not in (reader.fieldnames or ()):
                 raise ConfigError(f"{path}: no {header} column")
             if not rows:
                 raise ConfigError(f"{path}: no rows")
             try:
-                return [parse(r[header]) for r in rows]
+                return [parse(r[header]) for r in of]
             except (TypeError, ValueError):  # a short row reads None
                 raise ConfigError(f"{path}: unreadable {header} value") from None
 
@@ -123,6 +124,15 @@ def _cmd_report(args) -> int:
         if manifest["experiment"] == "zooming" and name == "param_trace":
             tail = column("param", float)[-max(1, len(rows) // 10):]
             print(f"    median selected param, last 10%: {np.median(tail):.6g}")
+        if manifest["experiment"] == "equilibrium-report" and name == "equilibria":
+            modes, flags = column("mode"), column("accepted")
+            for mode in dict.fromkeys(modes):
+                hits = [r for r, m, ok in zip(rows, modes, flags) if m == mode and ok == "true"]
+                print(f"    {mode}: {len(hits)} accepted")
+                for k, label, margin in zip(column("model_index", int, hits),
+                                            column("label", str, hits),
+                                            column("kl_margin", float, hits)):
+                    print(f"      model {k} ({_escaped(label)}): kl_margin {margin:.6g}")
         if manifest["experiment"] == "duality-audit" and name == "duality":
             for header, title in (("primal_gap", "max primal gap: "),
                                   ("dual_gap", "max dual gap:   "),

@@ -5,8 +5,8 @@ An equilibrium couples four objects: a model index k, a subjective
 discounted occupation measure under that model, the true stationary
 state-action frequencies of the induced policy, and the policy itself. The
 checker evaluates the four condition groups of that coupled system and
-reports residuals per group; the enumerator searches candidate best
-responses model by model and re-verifies every hit.
+reports residuals per group; the enumerator finds one best response per
+model and re-verifies every hit.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (
-    MDPInstance,
-    ReducibleChainError,
-    state_action_frequencies,
-)
+from .mdp import MDPInstance, ReducibleChainError, state_action_frequencies
 from .models import TIE_TOL, ConjectureSet, divergence_vector, kl_cost_table, long_run_divergence
-from .planning import greedy_policies, greedy_sets, occupation_of_policy, value_iteration
+from .planning import greedy_sets, occupation_of_policy, policy_from_occupation, value_iteration
+from .simplex import LinearProgram, simplex_solve
 from .soft_planning import SoftPlanConfig, soft_best_response
 
 # Largest residual a condition group may carry in an accepted equilibrium.
@@ -55,17 +52,15 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class CandidateDiagnostic:
-    """One candidate best response and its verdict. ``feasibility`` holds the
+    """One model's best response and its verdict. ``feasibility`` holds the
     re-check that decides acceptance, run only if the candidate is KL-minimal;
     ``divergence_vector`` is None if its true chain is reducible."""
 
     model_index: int
     label: str
-    policy_kind: str
     policy: np.ndarray
     reason: str
     divergence_vector: np.ndarray | None
-    tie_states: int
     feasibility: FeasibilityReport | None = None
 
     @property
@@ -76,16 +71,18 @@ class CandidateDiagnostic:
     def divergence(self) -> float:
         return float(self.divergence_vector[self.model_index])
 
+    @property
+    def kl_margin(self) -> float | None:
+        """min over j != k of D_j - D_k at the candidate's own frequencies:
+        inf with one model, None if the true chain is reducible."""
+        if self.divergence_vector is not None:
+            gaps = np.delete(self.divergence_vector - self.divergence, self.model_index)
+            return float(gaps.min(initial=np.inf))
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """One diagnostic row per candidate tested; the accepted ones are the equilibria.
-
-    ``tie_states`` > 0 on a hard-mode diagnostic flags states whose greedy
-    set was not a singleton: only deterministic and uniform tie-breaks are
-    searched, so equilibria requiring strictly interior randomization over a
-    tied set would not appear.
-    """
+    """One diagnostic per model; the accepted ones are the equilibria."""
 
     mode: str
     temperature: float | None
@@ -148,15 +145,30 @@ def check_joint_feasibility(
     return FeasibilityReport(passed=not failed, residuals=residuals, failed_groups=failed)
 
 
-def _hard_candidates(m_k: MDPInstance) -> list[tuple[str, np.ndarray, int]]:
-    """Deterministic and uniform-tie best responses under one model."""
+def _max_margin_policy(m: MDPInstance, m_k: MDPInstance, costs: list[np.ndarray],
+                       k: int) -> np.ndarray:
+    """Greedy policy of model k whose true frequencies favour k most: the row
+    normalization of the d that maximizes t over d(x,a) >= 0 on k's greedy
+    pairs and a free t, subject to sum d = 1, true flow balance at every
+    state and d.(c_k - c_j) + t <= 0 for each j != k (t <= 0 with one
+    model). A state without mass takes its lowest greedy action."""
+    S = m.num_states
     sets = greedy_sets(m_k, value_iteration(m_k))
-    tie_states = sum(1 for s in sets if s.size > 1)
-    lowest, uniform = greedy_policies(sets, m_k.num_actions)
-    out = [("br-lowest", lowest, tie_states)]
-    if tie_states:
-        out.append(("br-uniform", uniform, tie_states))
-    return out
+    xs, acts = np.repeat(np.arange(S), [s.size for s in sets]), np.concatenate(sets)
+    others = [j for j in range(len(costs)) if j != k] or [k]
+    rows = np.vstack([np.ones(xs.size), (xs == np.arange(S)[:, None]) - m.kernel[xs, acts].T,
+                      [(costs[k] - costs[j])[xs, acts] for j in others]])
+    t_col = np.repeat([0.0, 1.0], [1 + S, len(others)])  # t enters the margin rows only
+    lp = LinearProgram(objective=np.append(np.zeros(xs.size), 1.0),
+                       constraints=np.column_stack([rows, t_col]),
+                       rhs=np.append(1.0, np.zeros(len(rows) - 1)),
+                       senses=("=",) * (1 + S) + ("<=",) * len(others),
+                       lower_bounds=np.append(np.zeros(xs.size), -np.inf), maximize=True)
+    d = np.zeros((S, m.num_actions))
+    d[xs, acts] = simplex_solve(lp).x[:-1]
+    idle = d.sum(axis=1) <= 0.0
+    d[idle, np.array([s[0] for s in sets])[idle]] = 1.0
+    return policy_from_occupation(d)
 
 
 def enumerate_equilibria(
@@ -167,12 +179,15 @@ def enumerate_equilibria(
 ) -> EquilibriumReport:
     """Search every conjecture for a self-confirming best response.
 
-    For each model k the best response is computed (hard: deterministic
-    plus, when greedy ties exist, the uniform tie-break; soft: the softmax
-    best response at ``temperature``), its true long-run frequencies are
-    derived, and k is accepted iff it minimizes the frequency-weighted KL
+    For each model k one best response is computed (hard: the greedy policy
+    whose true frequencies give k the largest KL margin, by one LP; soft: the
+    softmax best response at ``temperature``), its true long-run frequencies
+    are derived, and k is accepted iff it minimizes the frequency-weighted KL
     cost over the whole set. Every accepted pair is re-verified through
-    :func:`check_joint_feasibility` before being reported.
+    :func:`check_joint_feasibility` before being reported. So hard mode
+    accepts k iff some mixture over k's greedy actions makes k KL-minimal,
+    and reports one such d, the max-margin one. Beliefs are point beliefs:
+    a policy optimal only under a mixture of models is not searched.
     """
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
@@ -185,32 +200,29 @@ def enumerate_equilibria(
     for k, member in enumerate(cs):
         m_k = m.with_kernel(member.kernel)
         if mode == "hard":
-            candidates = _hard_candidates(m_k)
+            pi = _max_margin_policy(m, m_k, costs, k)
         else:
             pi, _, _ = soft_best_response(m_k, SoftPlanConfig(temperature=temperature))
-            candidates = [("softmax", pi, 0)]
-
-        for policy_kind, pi, tie_states in candidates:
-            divs = feas = None
-            try:
-                d = state_action_frequencies(m, pi)
-            except ReducibleChainError as err:
-                reason = f"skipped: {err}"
+        divs = feas = None
+        try:
+            d = state_action_frequencies(m, pi)
+        except ReducibleChainError as err:
+            reason = f"skipped: {err}"
+        else:
+            divs = np.array([long_run_divergence(d, c) for c in costs])
+            if divs[k] > divs.min() + FEAS_TOL:
+                reason = f"not KL-minimal: D_k={divs[k]:.6g} vs min {divs.min():.6g}"
             else:
-                divs = np.array([long_run_divergence(d, c) for c in costs])
-                if divs[k] > divs.min() + FEAS_TOL:
-                    reason = f"not KL-minimal: D_k={divs[k]:.6g} vs min {divs.min():.6g}"
-                else:
-                    cand = JointCandidate(k, occupation_of_policy(m_k, pi), d, pi)
-                    feas = check_joint_feasibility(m, cs, cand)
-                    reason = (
-                        "equilibrium" if feas.passed else
-                        f"feasibility re-check failed: {', '.join(feas.failed_groups)}"
-                    )
-            diagnostics.append(CandidateDiagnostic(
-                model_index=k, label=member.label, policy_kind=policy_kind, policy=pi,
-                reason=reason, divergence_vector=divs, tie_states=tie_states, feasibility=feas,
-            ))
+                cand = JointCandidate(k, occupation_of_policy(m_k, pi), d, pi)
+                feas = check_joint_feasibility(m, cs, cand)
+                reason = (
+                    "equilibrium" if feas.passed else
+                    f"feasibility re-check failed: {', '.join(feas.failed_groups)}"
+                )
+        diagnostics.append(CandidateDiagnostic(
+            model_index=k, label=member.label, policy=pi, reason=reason,
+            divergence_vector=divs, feasibility=feas,
+        ))
 
     return EquilibriumReport(mode=mode, temperature=temperature, diagnostics=tuple(diagnostics))
 

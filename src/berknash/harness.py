@@ -504,28 +504,16 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
     rows = []  # (mode, diagnostic), one per CSV row
     summary_lines = []
     for mode in modes:
-        report = enumerate_equilibria(
-            cfg.instance,
-            cfg.conjectures,
-            mode=mode,
-            temperature=cfg.soft.temperature if mode == "soft" else None,
-        )
+        report = enumerate_equilibria(cfg.instance, cfg.conjectures, mode,
+                                      cfg.soft.temperature if mode == "soft" else None)
         rows += [(mode, diag) for diag in report.diagnostics]
         summary_lines.append(f"mode={mode}: {len(report.equilibria)} equilibrium(ia)")
-        for e in report.equilibria:
-            summary_lines.append(
-                f"  model {e.model_index} ({e.label}), policy={e.policy_kind}, "
-                f"divergence={e.divergence:.6g}"
-            )
-        ties = sum(d.tie_states for d in report.diagnostics)
-        if mode == "hard" and ties:
-            summary_lines.append(
-                "  note: greedy ties present; equilibria needing strictly interior"
-                " randomization over tied actions are not searched"
-            )
+        summary_lines += [f"  model {e.model_index} ({e.label}), kl_margin={e.kl_margin:.6g}, "
+                          f"divergence={e.divergence:.6g}" for e in report.equilibria]
     columns = {"mode": [mode for mode, _ in rows]}
-    for name in ("model_index", "label", "policy_kind", "accepted", "tie_states", "reason"):
-        columns[name] = [getattr(diag, name) for _, diag in rows]
+    # kl_margin is None, and written blank, where the true chain is reducible
+    for name in ("model_index", "label", "accepted", "kl_margin", "reason"):
+        columns[name] = ["" if (v := getattr(diag, name)) is None else v for _, diag in rows]
     for k in range(len(cfg.conjectures)):
         columns[f"divergence_{k}"] = [
             "" if diag.divergence_vector is None else float(diag.divergence_vector[k])

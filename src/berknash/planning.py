@@ -13,7 +13,8 @@ import numpy as np
 from .mdp import MDPInstance, induced_kernel, uniform_policy
 from .simplex import LinearProgram
 
-DEFAULT_VI_TOL = 1e-10
+# Sup-norm accuracy of the optimal value.
+VI_TOL = 1e-10
 # Actions whose backup is this close to the best count as greedy.
 ACT_TOL = 1e-8
 # Step cap of the Newton loop shared by the hard and soft planners.
@@ -63,13 +64,11 @@ def _newton(step, policy, m: MDPInstance, tol: float) -> np.ndarray:
     )
 
 
-def value_iteration(m: MDPInstance, vi_tol: float = DEFAULT_VI_TOL) -> np.ndarray:
-    """Optimal value to within ``vi_tol`` in sup norm, by Howard policy iteration
+def value_iteration(m: MDPInstance) -> np.ndarray:
+    """Optimal value to within VI_TOL in sup norm, by Howard policy iteration
     over first exact argmaxes: they attain Tv; near ties within ACT_TOL need not."""
-    if not 0.0 < vi_tol < np.inf:
-        raise ValueError(f"vi_tol must be positive and finite, got {vi_tol}")
     return _newton(lambda v: bellman_operator(m, v),
-                   lambda v: np.eye(m.num_actions)[backup_values(m, v).argmax(axis=1)], m, vi_tol)
+                   lambda v: np.eye(m.num_actions)[backup_values(m, v).argmax(axis=1)], m, VI_TOL)
 
 
 def greedy_sets(m: MDPInstance, v: np.ndarray) -> list[np.ndarray]:
@@ -79,20 +78,10 @@ def greedy_sets(m: MDPInstance, v: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(q[x] >= best[x] - ACT_TOL) for x in range(m.num_states)]
 
 
-def greedy_policies(sets: list[np.ndarray], num_actions: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two tie-breaks over per-state greedy sets: (lowest-index, uniform)."""
-    lowest = np.zeros((len(sets), num_actions))
-    uniform = np.zeros((len(sets), num_actions))
-    for x, actions in enumerate(sets):
-        lowest[x, actions[0]] = 1.0
-        uniform[x, actions] = 1.0 / actions.size
-    return lowest, uniform
-
-
 def best_response_policy(m: MDPInstance) -> np.ndarray:
     """Subjectively optimal deterministic policy under ``m``'s kernel, taking
     the smallest greedy action index in each state."""
-    return greedy_policies(greedy_sets(m, value_iteration(m)), m.num_actions)[0]
+    return np.eye(m.num_actions)[[acts[0] for acts in greedy_sets(m, value_iteration(m))]]
 
 
 def _flow_rows(m: MDPInstance) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from berknash import MDPInstance
+from berknash import ConjectureSet, MDPInstance, SubjectiveKernel
 
 
 def random_instance(rng, num_states=3, num_actions=2, discount=0.9):
@@ -14,6 +14,23 @@ def random_instance(rng, num_states=3, num_actions=2, discount=0.9):
     return MDPInstance(
         kernel=kernel, rewards=rewards, discount=discount, initial_dist=mu0
     )
+
+
+def action1_family(m, thetas):
+    """Conjectures Q_theta that keep ``m``'s rows of action 0 and give action 1
+    the row (1-theta)(0.5, 0.4, 0.1) + theta(0.1, 0.2, 0.7) from every state.
+
+    On benchmark3's truth each KL cost is convex in theta and the pseudo-true
+    theta depends on which states play action 1, so unlike the uniform-noise
+    mixtures the fit depends on the policy's data.
+    """
+    low, high = np.array([0.5, 0.4, 0.1]), np.array([0.1, 0.2, 0.7])
+    members = []
+    for theta in thetas:
+        kernel = m.kernel.copy()
+        kernel[:, 1] = (1.0 - theta) * low + theta * high
+        members.append(SubjectiveKernel(kernel=kernel, label=f"theta={theta:g}", param=theta))
+    return ConjectureSet(members=tuple(members))
 
 
 def random_policy(rng, num_states, num_actions):

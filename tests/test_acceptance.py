@@ -156,7 +156,7 @@ def test_criterion_3_lp_correctness():
         S = int(rng.integers(2, 6))
         A = int(rng.integers(2, 5))
         m = random_instance(rng, S, A, discount=float(rng.uniform(0.6, 0.95)))
-        v = value_iteration(m, vi_tol=1e-12)
+        v = value_iteration(m)
         primal = simplex_solve(build_primal_lp(m))
         dual = simplex_solve(build_dual_lp(m))
         if abs(primal.objective - v.sum()) > 1e-7:

@@ -4,6 +4,7 @@ import pytest
 from berknash import (
     ConjectureSet,
     JointCandidate,
+    MDPInstance,
     SubjectiveKernel,
     benchmark3,
     bilevel_objective,
@@ -24,7 +25,7 @@ from berknash.equilibrium import (
     GROUP_SUBJECTIVE_FLOW,
     GROUP_TRUE_FREQUENCY,
 )
-from _helpers import random_instance
+from _helpers import action1_family, random_instance
 
 
 def assembled_candidate(m, cs, k, pi):
@@ -127,6 +128,45 @@ class TestEnumerateEquilibria:
         soft = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
         assert [e.model_index for e in hard.equilibria] == [0]
         assert [e.model_index for e in soft.equilibria] == [0]
+
+    def test_benchmark_hard_margins(self):
+        # each model's largest KL margin over greedy policies; only model 0's is positive
+        m, cs = benchmark3()
+        report = enumerate_equilibria(m, cs, mode="hard")
+        np.testing.assert_allclose([d.kl_margin for d in report.diagnostics],
+                                   [0.0690345, -0.0690345, -0.1849363, -0.3170601], atol=1e-7)
+
+    def test_tie_instance_accepts_interior_mixture(self):
+        # zero rewards make every policy greedy under every model, so the hard
+        # search must find, for p = 0.3, the mixture in state 0 whose true
+        # frequencies favour p = 0.3; no tie-break rule reaches it
+        kernel = np.array([[[0.9, 0.1], [0.1, 0.9]], [[0.5, 0.5], [0.5, 0.5]]])
+        m = MDPInstance(kernel=kernel, rewards=np.zeros((2, 2)), discount=0.9,
+                        initial_dist=[0.5, 0.5])
+        cs = ConjectureSet(members=tuple(
+            SubjectiveKernel(kernel=[[[1 - p, p]] * 2, [[0.5, 0.5]] * 2], label=f"p={p}")
+            for p in (0.1, 0.3, 0.6)
+        ))
+        hard = enumerate_equilibria(m, cs, mode="hard")
+        assert [e.model_index for e in hard.equilibria] == [0, 1, 2]
+        interior = hard.equilibria[1]
+        np.testing.assert_allclose(interior.policy[0], [0.7355, 0.2645], atol=1e-4)
+        assert interior.kl_margin == pytest.approx(0.1043, abs=1e-4)
+        # entropy regularization picks the uniform mixture, which only p = 0.6 fits
+        for lam in (1e-3, 0.1, 10.0):
+            soft = enumerate_equilibria(m, cs, mode="soft", temperature=lam)
+            assert [e.model_index for e in soft.equilibria] == [2], lam
+
+    def test_action1_family_grid(self):
+        # the fit depends on the policy: the hard equilibrium theta* = 0.164
+        # lies nearest grid point 0.2, and at lambda = 0.1 the soft fixed
+        # point 0.445 lies between grid points 0.4 and 0.5
+        m, _ = benchmark3()
+        cs = action1_family(m, np.linspace(0.0, 1.0, 11).tolist())
+        hard = enumerate_equilibria(m, cs, mode="hard")
+        soft = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
+        assert [cs.members[e.model_index].param for e in hard.equilibria] == [0.2]
+        assert [cs.members[e.model_index].param for e in soft.equilibria] == [0.4, 0.5]
 
     def test_every_reported_equilibrium_reverified(self):
         m, cs = benchmark3()

@@ -533,6 +533,41 @@ class TestCLI:
             worst = max(float(r[column]) for r in rows)
             assert re.search(rf"{title}: +{re.escape(f'{worst:.3e}')}", out)
 
+    def test_equilibrium_report_one_model(self, tmp_path, capsys):
+        # with no rival model the margin is inf, in the CSV and in the summary
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "one"
+        cfg_path.write_text(json.dumps({
+            "experiment": "equilibrium-report", "output_dir": str(out_dir),
+            "conjectures": {"epsilons": [0.1]},
+        }))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        rows = read_csv(out_dir / "equilibria.csv")
+        assert [(r["mode"], r["accepted"], r["kl_margin"]) for r in rows] == [
+            ("hard", "true", "inf"), ("soft", "true", "inf")]
+        assert (out_dir / "summary.txt").read_text().count("kl_margin=inf,") == 2
+
+    def test_report_equilibria_prints_accepted_models(self, tmp_path, capsys):
+        m, _ = benchmark3()
+        noisy = 0.8 * m.kernel + 0.2 / 3
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "eq"
+        cfg_path.write_text(json.dumps({
+            "experiment": "equilibrium-report", "output_dir": str(out_dir),
+            "conjectures": {"kernels": [{"kernel": noisy.tolist(), "label": "g\nh"},
+                                        {"kernel": m.kernel.tolist(), "label": "a\rb"}]},
+        }))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        rows = read_csv(out_dir / "equilibria.csv")
+        margins = {r["mode"]: float(r["kl_margin"]) for r in rows if r["accepted"] == "true"}
+        assert set(margins) == {"hard", "soft"}
+        for mode, margin in margins.items():
+            assert (f"    {mode}: 1 accepted\n"
+                    f"      model 1 (a\\rb): kl_margin {margin:.6g}\n") in out
+
     @pytest.mark.parametrize(
         "text, field",
         [
@@ -751,10 +786,19 @@ class TestCLI:
              ("duality.csv", "no rows")),
             ("zooming", {"param_trace": "param_trace.csv"},
              "t,param,prob,loss,running_mean,set_size\n", ("param_trace.csv", "no rows")),
+            ("equilibrium-report", {"equilibria": "equilibria.csv"},
+             "mode,model_index,label,accepted,tie_states\nhard,0,a,true,0\n",
+             ("equilibria.csv", "kl_margin")),
+            ("equilibrium-report", {"equilibria": "equilibria.csv"},
+             "mode,model_index,label,accepted,kl_margin\nhard,0,a,false,\nhard,1,b,true,\n",
+             ("equilibria.csv", "unreadable kl_margin")),
+            ("equilibrium-report", {"equilibria": "equilibria.csv"},
+             "mode,model_index,label,accepted,kl_margin\n", ("equilibria.csv", "no rows")),
         ],
         ids=["artifacts-list", "artifacts-not-names", "duality-no-primal-gap",
              "frequencies-no-frequency", "final-set-short-row", "duality-no-rows",
-             "param-trace-no-rows"],
+             "param-trace-no-rows", "equilibria-no-kl-margin", "equilibria-blank-margin",
+             "equilibria-no-rows"],
     )
     def test_report_mismatched_artifacts(self, tmp_path, capsys, experiment, artifacts,
                                          csv_text, named):

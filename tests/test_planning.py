@@ -85,10 +85,6 @@ class TestValueIteration:
                         discount=0.9, initial_dist=[1.0, 0.0])
         np.testing.assert_allclose(value_iteration(m), [9.0, 10.0], rtol=0, atol=1e-10)
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError, match="vi_tol"):
-            value_iteration(scalar_instance(), vi_tol=0.0)
-
 
 class TestGreedySets:
     def test_strictly_dominant_action(self):
@@ -138,12 +134,17 @@ class TestBestResponsePolicy:
         np.testing.assert_array_equal(pi, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_uniform_tie_rule(self):
-        # the uniform tie-break is a hard-mode equilibrium candidate
+        # with one model every greedy policy is an equilibrium: hard mode
+        # reports one, with no rival to hold a margin against
         m = self._tied_instance()
         report = enumerate_equilibria(m, mixture_family(m, [0.1]), mode="hard")
-        uniform = [d for d in report.diagnostics if d.policy_kind == "br-uniform"]
-        assert len(uniform) == 1 and uniform[0].tie_states == 2
-        np.testing.assert_allclose(uniform[0].policy, np.full((2, 2), 0.5))
+        assert len(report.diagnostics) == 1 and report.equilibria == report.diagnostics
+        entry = report.equilibria[0]
+        assert entry.kl_margin == np.inf
+        # both actions are greedy in both states, so any policy row is greedy
+        assert [s.tolist() for s in greedy_sets(m, value_iteration(m))] == [[0, 1], [0, 1]]
+        assert (entry.policy >= 0.0).all()
+        np.testing.assert_allclose(entry.policy.sum(axis=1), 1.0)
 
 
 class TestPrimalLP:

@@ -208,7 +208,7 @@ def test_corners_match_long_double_oracle(
     rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
     m = MDPInstance(kernel, rewards, beta, np.full(num_states, 1.0 / num_states))
     for temperature, tol in ((lam, soft_planning.FP_TOL * max(1.0, lam)),
-                             (None, planning.DEFAULT_VI_TOL)):
+                             (None, planning.VI_TOL)):
         if temperature is None:
             v = value_iteration(m)
         else:
