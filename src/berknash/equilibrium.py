@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MDPInstance, ReducibleChainError, state_action_frequencies
+from .mdp import (
+    MDPInstance,
+    ReducibleChainError,
+    state_action_frequencies,
+)
 from .models import TIE_TOL, ConjectureSet, divergence_vector, kl_cost_table, long_run_divergence
 from .planning import greedy_sets, occupation_of_policy, policy_from_occupation, value_iteration
 from .simplex import LinearProgram, simplex_solve
@@ -148,27 +152,45 @@ def check_joint_feasibility(
 def _max_margin_policy(m: MDPInstance, m_k: MDPInstance, costs: list[np.ndarray],
                        k: int) -> np.ndarray:
     """Greedy policy of model k whose true frequencies favour k most: the row
-    normalization of the d that maximizes t over d(x,a) >= 0 on k's greedy
+    normalization of the d* that maximizes t over d(x,a) >= 0 on k's greedy
     pairs and a free t, subject to sum d = 1, true flow balance at every
     state and d.(c_k - c_j) + t <= 0 for each j != k (t <= 0 with one
-    model). A state without mass takes its lowest greedy action."""
+    model). If d*'s true chain is reducible (a vertex may leave states
+    without mass), d* is mixed with the true frequencies d_u of the uniform
+    greedy policy, giving up at most FEAS_TOL / 2 of margin; if d_u's chain
+    is reducible too, so is every greedy policy's, and the uniform one is
+    returned."""
     S = m.num_states
     sets = greedy_sets(m_k, value_iteration(m_k))
-    xs, acts = np.repeat(np.arange(S), [s.size for s in sets]), np.concatenate(sets)
+    sizes = [s.size for s in sets]
+    xs, acts = np.repeat(np.arange(S), sizes), np.concatenate(sets)
     others = [j for j in range(len(costs)) if j != k] or [k]
+    margin_rows = np.array([(costs[k] - costs[j])[xs, acts] for j in others])
     rows = np.vstack([np.ones(xs.size), (xs == np.arange(S)[:, None]) - m.kernel[xs, acts].T,
-                      [(costs[k] - costs[j])[xs, acts] for j in others]])
+                      margin_rows])
     t_col = np.repeat([0.0, 1.0], [1 + S, len(others)])  # t enters the margin rows only
     lp = LinearProgram(objective=np.append(np.zeros(xs.size), 1.0),
                        constraints=np.column_stack([rows, t_col]),
                        rhs=np.append(1.0, np.zeros(len(rows) - 1)),
                        senses=("=",) * (1 + S) + ("<=",) * len(others),
                        lower_bounds=np.append(np.zeros(xs.size), -np.inf), maximize=True)
+    sol = simplex_solve(lp)
     d = np.zeros((S, m.num_actions))
-    d[xs, acts] = simplex_solve(lp).x[:-1]
-    idle = d.sum(axis=1) <= 0.0
-    d[idle, np.array([s[0] for s in sets])[idle]] = 1.0
-    return policy_from_occupation(d)
+    d[xs, acts] = sol.x[:-1]
+    pi = policy_from_occupation(d)
+    try:
+        state_action_frequencies(m, pi)
+    except ReducibleChainError:
+        uniform = np.zeros((S, m.num_actions))
+        uniform[xs, acts] = 1.0 / np.repeat(sizes, sizes)
+        try:
+            d_u = state_action_frequencies(m, uniform)
+        except ReducibleChainError:
+            return uniform
+        gap = sol.x[-1] + (margin_rows @ d_u[xs, acts]).max()  # t* minus d_u's margin
+        eps = 0.5 * FEAS_TOL / max(gap, 0.5 * FEAS_TOL)
+        pi = policy_from_occupation((1.0 - eps) * d + eps * d_u)
+    return pi
 
 
 def enumerate_equilibria(
@@ -185,9 +207,11 @@ def enumerate_equilibria(
     are derived, and k is accepted iff it minimizes the frequency-weighted KL
     cost over the whole set. Every accepted pair is re-verified through
     :func:`check_joint_feasibility` before being reported. So hard mode
-    accepts k iff some mixture over k's greedy actions makes k KL-minimal,
-    and reports one such d, the max-margin one. Beliefs are point beliefs:
-    a policy optimal only under a mixture of models is not searched.
+    accepts k iff some mixture over k's greedy actions with an irreducible
+    true chain makes k KL-minimal (to within FEAS_TOL), and reports one such
+    d, the max-margin one, or within FEAS_TOL / 2 of it where the LP's
+    vertex has a reducible chain. Beliefs are point beliefs: a policy
+    optimal only under a mixture of models is not searched.
     """
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")

@@ -504,12 +504,19 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
     rows = []  # (mode, diagnostic), one per CSV row
     summary_lines = []
     for mode in modes:
-        report = enumerate_equilibria(cfg.instance, cfg.conjectures, mode,
-                                      cfg.soft.temperature if mode == "soft" else None)
+        report = enumerate_equilibria(
+            cfg.instance,
+            cfg.conjectures,
+            mode=mode,
+            temperature=cfg.soft.temperature if mode == "soft" else None,
+        )
         rows += [(mode, diag) for diag in report.diagnostics]
         summary_lines.append(f"mode={mode}: {len(report.equilibria)} equilibrium(ia)")
-        summary_lines += [f"  model {e.model_index} ({e.label}), kl_margin={e.kl_margin:.6g}, "
-                          f"divergence={e.divergence:.6g}" for e in report.equilibria]
+        for e in report.equilibria:
+            summary_lines.append(
+                f"  model {e.model_index} ({e.label}), kl_margin={e.kl_margin:.6g}, "
+                f"divergence={e.divergence:.6g}"
+            )
     columns = {"mode": [mode for mode, _ in rows]}
     # kl_margin is None, and written blank, where the true chain is reducible
     for name in ("model_index", "label", "accepted", "kl_margin", "reason"):

@@ -20,6 +20,7 @@ from berknash import (
     state_action_frequencies,
 )
 from berknash.equilibrium import (
+    FEAS_TOL,
     GROUP_KL_MINIMALITY,
     GROUP_POLICY_CONSISTENCY,
     GROUP_SUBJECTIVE_FLOW,
@@ -156,6 +157,60 @@ class TestEnumerateEquilibria:
         for lam in (1e-3, 0.1, 10.0):
             soft = enumerate_equilibria(m, cs, mode="soft", temperature=lam)
             assert [e.model_index for e in soft.equilibria] == [2], lam
+
+    @staticmethod
+    def _self_loop_instance():
+        # state 0: action 0 stays, action 1 moves to state 1; state 1 returns
+        # to state 0. Zero rewards make every action greedy under every model.
+        kernel = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
+        return MDPInstance(kernel=kernel, rewards=np.zeros((2, 2)), discount=0.9,
+                           initial_dist=[0.5, 0.5])
+
+    def test_reducible_vertex_is_mixed_with_uniform_greedy(self):
+        # the LP's vertex puts all mass on state 0's self-loop, a closed class
+        # that never reaches state 1; the uniform greedy policy is irreducible
+        # and correct, so the one model must still be accepted
+        m = self._self_loop_instance()
+        cs = ConjectureSet(members=(SubjectiveKernel(kernel=m.kernel, label="truth"),))
+        (diag,) = enumerate_equilibria(m, cs, mode="hard").diagnostics
+        assert diag.accepted, diag.reason
+        assert diag.kl_margin == np.inf
+        np.testing.assert_allclose(diag.policy, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_mixture_keeps_the_max_margin(self):
+        # the wrong model misreads only state 0's self-loop, so the truth's
+        # margin log 2 is largest at the reducible vertex on that loop; the
+        # mixture that reaches state 1 gives up at most FEAS_TOL / 2 of it
+        m = self._self_loop_instance()
+        wrong = m.kernel.copy()
+        wrong[0, 0] = [0.5, 0.5]
+        cs = ConjectureSet(members=(SubjectiveKernel(kernel=m.kernel, label="truth"),
+                                    SubjectiveKernel(kernel=wrong, label="wrong")))
+        truth, misread = enumerate_equilibria(m, cs, mode="hard").diagnostics
+        assert truth.accepted, truth.reason
+        assert truth.kl_margin == pytest.approx(np.log(2), abs=FEAS_TOL / 2 + 1e-9)
+        assert 0.0 < truth.policy[0, 1] < 1e-7
+        # never taking the self-loop, the wrong model fits as well as the truth
+        assert misread.accepted and misread.kl_margin == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_array_equal(misread.policy, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_vertex_on_two_closed_classes_is_joined(self):
+        # action 0 stays put in either state, action 1 switches state; one
+        # rival misreads state 0's loop and one state 1's, so the truth's best
+        # vertex weights both loops and has full support but two closed classes
+        kernel = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        m = MDPInstance(kernel=kernel, rewards=np.zeros((2, 2)), discount=0.9,
+                        initial_dist=[0.5, 0.5])
+        loop0, loop1 = kernel.copy(), kernel.copy()
+        loop0[0, 0], loop1[1, 0] = [0.5, 0.5], [0.2, 0.8]
+        cs = ConjectureSet(members=(SubjectiveKernel(kernel=kernel, label="truth"),
+                                    SubjectiveKernel(kernel=loop0, label="loop0"),
+                                    SubjectiveKernel(kernel=loop1, label="loop1")))
+        truth = enumerate_equilibria(m, cs, mode="hard").diagnostics[0]
+        a, b = np.log(2), -np.log(0.8)  # each rival's KL cost on its loop
+        assert truth.accepted, truth.reason
+        assert truth.kl_margin == pytest.approx(a * b / (a + b), abs=FEAS_TOL / 2 + 1e-9)
+        assert np.all(truth.policy[:, 1] > 0.0)
 
     def test_action1_family_grid(self):
         # the fit depends on the policy: the hard equilibrium theta* = 0.164
