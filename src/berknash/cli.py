@@ -21,10 +21,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import statistics
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .harness import ConfigError, benchmark3, load_config, run_experiment
 
@@ -123,7 +122,7 @@ def _cmd_report(args) -> int:
             print(f"    final params: {[round(p, 6) for p in params]}")
         if manifest["experiment"] == "zooming" and name == "param_trace":
             tail = column("param", float)[-max(1, len(rows) // 10):]
-            print(f"    median selected param, last 10%: {np.median(tail):.6g}")
+            print(f"    median selected param, last 10%: {statistics.median(tail):.6g}")
         if manifest["experiment"] == "equilibrium-report" and name == "equilibria":
             modes, flags = column("mode"), column("accepted")
             for mode in dict.fromkeys(modes):

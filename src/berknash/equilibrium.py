@@ -254,7 +254,17 @@ def enumerate_equilibria(
 def bilevel_objective(
     m: MDPInstance, cs: ConjectureSet, k: int, temperature: float
 ) -> float:
-    """Long-run KL cost of model k evaluated at its own softmax best response."""
+    """Long-run KL cost of model k evaluated at its own softmax best response.
+
+    This is what the learners of :mod:`berknash.learning` minimize (their
+    oracle loss, up to scale). An equilibrium asks instead that k minimize
+    the cost over the set with the data of k's own policy held fixed, so at
+    a positive temperature the minimizer of this objective need not be one.
+    Example: benchmark3's truth with action 1 conjectured as the row
+    (1-p)(0.5, 0.4, 0.1) + p(0.1, 0.2, 0.7) from every state, p in [0, 1]:
+    at temperature 0.1 this objective is least at p = 0.0626 and the soft
+    equilibrium is p = 0.4452; at temperature 0.01 both are at 0.1639.
+    """
     member = cs.members[k]
     pi, _, _ = soft_best_response(
         m.with_kernel(member.kernel), SoftPlanConfig(temperature=temperature)

@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from berknash import ConjectureSet, MDPInstance, SubjectiveKernel
+from berknash import (
+    ConjectureSet,
+    MDPInstance,
+    SoftPlanConfig,
+    SubjectiveKernel,
+    soft_best_response,
+    state_action_frequencies,
+)
+
+# action 1's conjectured row is (1 - theta) * ACTION1_LOW + theta * ACTION1_HIGH
+ACTION1_LOW, ACTION1_HIGH = np.array([0.5, 0.4, 0.1]), np.array([0.1, 0.2, 0.7])
 
 
 def random_instance(rng, num_states=3, num_actions=2, discount=0.9):
@@ -24,13 +34,64 @@ def action1_family(m, thetas):
     theta depends on which states play action 1, so unlike the uniform-noise
     mixtures the fit depends on the policy's data.
     """
-    low, high = np.array([0.5, 0.4, 0.1]), np.array([0.1, 0.2, 0.7])
     members = []
     for theta in thetas:
         kernel = m.kernel.copy()
-        kernel[:, 1] = (1.0 - theta) * low + theta * high
+        kernel[:, 1] = (1.0 - theta) * ACTION1_LOW + theta * ACTION1_HIGH
         members.append(SubjectiveKernel(kernel=kernel, label=f"theta={theta:g}", param=theta))
     return ConjectureSet(members=tuple(members))
+
+
+def bisect_root(f, lo, hi, iters=40):
+    """A sign change of ``f`` on [lo, hi], given f(lo) < 0 <= f(hi), by bisection."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def action1_pseudo_true(m, d):
+    """The theta in [0, 1] of :func:`action1_family` that minimizes the long-run
+    KL cost under state-action frequencies ``d``.
+
+    Action 0's rows are exact, so the cost is, up to a constant,
+    -sum_y w_y log q_y(theta) with w = d[:, 1] @ P[:, 1]: convex in theta,
+    so its argmin is where the slope changes sign.
+    """
+    w = d[:, 1] @ m.kernel[:, 1]
+
+    def slope(theta):
+        return -float(w @ ((ACTION1_HIGH - ACTION1_LOW)
+                           / ((1.0 - theta) * ACTION1_LOW + theta * ACTION1_HIGH)))
+
+    if slope(0.0) >= 0.0:
+        return 0.0
+    if slope(1.0) <= 0.0:
+        return 1.0
+    return bisect_root(slope, 0.0, 1.0, iters=60)
+
+
+def action1_fixed_points(m, temperature, points=21):
+    """Exact reference for the soft equilibria of the continuous :func:`action1_family`.
+
+    g(theta) is the pseudo-true theta of the true frequencies that the
+    softmax best response to Q_theta generates; a soft equilibrium is a root
+    of theta - g(theta). Scans ``points`` evenly spaced thetas on [0, 1] and
+    bisects each sign change; returns the roots found.
+    """
+    def gap(theta):
+        q = action1_family(m, [theta]).members[0]
+        pi, _, _ = soft_best_response(m.with_kernel(q.kernel), SoftPlanConfig(temperature))
+        return theta - action1_pseudo_true(m, state_action_frequencies(m, pi))
+
+    grid = np.linspace(0.0, 1.0, points).tolist()
+    h = [gap(theta) for theta in grid]
+    roots = []
+    for lo, hi, h_lo, h_hi in zip(grid, grid[1:], h, h[1:]):
+        if (h_lo < 0.0) != (h_hi < 0.0):
+            sign = 1.0 if h_lo < 0.0 else -1.0
+            roots.append(bisect_root(lambda t: sign * gap(t), lo, hi, iters=30))
+    return roots
 
 
 def random_policy(rng, num_states, num_actions):

@@ -26,7 +26,7 @@ from berknash.equilibrium import (
     GROUP_SUBJECTIVE_FLOW,
     GROUP_TRUE_FREQUENCY,
 )
-from _helpers import action1_family, random_instance
+from _helpers import action1_family, action1_fixed_points, random_instance
 
 
 def assembled_candidate(m, cs, k, pi):
@@ -217,11 +217,26 @@ class TestEnumerateEquilibria:
         # lies nearest grid point 0.2, and at lambda = 0.1 the soft fixed
         # point 0.445 lies between grid points 0.4 and 0.5
         m, _ = benchmark3()
-        cs = action1_family(m, np.linspace(0.0, 1.0, 11).tolist())
+        grid = np.linspace(0.0, 1.0, 11).tolist()
+        cs = action1_family(m, grid)
         hard = enumerate_equilibria(m, cs, mode="hard")
         soft = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
-        assert [cs.members[e.model_index].param for e in hard.equilibria] == [0.2]
+        [theta_star] = action1_fixed_points(m, 1e-4)
+        nearest = min(grid, key=lambda theta: abs(theta - theta_star))
+        assert [cs.members[e.model_index].param for e in hard.equilibria] == [nearest] == [0.2]
         assert [cs.members[e.model_index].param for e in soft.equilibria] == [0.4, 0.5]
+
+    @pytest.mark.parametrize("temperature, theta_star, tol", [
+        (1.0, 0.4738, 5e-5), (0.3, 0.4736, 5e-5), (0.1, 0.4452, 5e-5),
+        (0.03, 0.16393, 5e-6), (0.01, 0.16393, 5e-6), (1e-3, 0.16393, 5e-6),
+        (1e-4, 0.16393, 5e-6),
+    ])
+    def test_action1_family_soft_fixed_point(self, temperature, theta_star, tol):
+        # one soft equilibrium theta*(lambda) on [0, 1]; as lambda -> 0 it
+        # reaches the hard equilibrium 0.16393
+        m, _ = benchmark3()
+        [root] = action1_fixed_points(m, temperature)
+        assert root == pytest.approx(theta_star, abs=tol)
 
     def test_every_reported_equilibrium_reverified(self):
         m, cs = benchmark3()

@@ -266,6 +266,19 @@ class TestRunExperiment:
             assert float(r["max_slackness_violation"]) <= 1e-8
             assert r["occupation_policy_greedy"] == "true"
 
+    def test_duality_audit_ignores_unvisited_states(self, tmp_path):
+        # state 1 is never reached from state 0, so the optimal occupation
+        # gives it no mass; its non-greedy action 1 must not fail the check
+        mdp = {"kernel": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+               "rewards": [[0.5, 0.5], [1.0, 0.0]], "discount": 0.9,
+               "initial_dist": [1.0, 0.0]}
+        cfg = self._cfg(tmp_path, "duality-audit",
+                        {"mdp": mdp, "conjectures": {"epsilons": [0.0]}})
+        [row] = read_csv(run_experiment(cfg).csv_paths["duality"])
+        assert float(row["primal_gap"]) <= 1e-12
+        assert float(row["dual_gap"]) <= 1e-12
+        assert row["occupation_policy_greedy"] == "true"
+
     def test_equilibrium_report(self, tmp_path):
         cfg = self._cfg(tmp_path, "equilibrium-report")
         artifacts = run_experiment(cfg)
@@ -532,6 +545,23 @@ class TestCLI:
                               ("max slack abuse", "max_slackness_violation")):
             worst = max(float(r[column]) for r in rows)
             assert re.search(rf"{title}: +{re.escape(f'{worst:.3e}')}", out)
+
+    def test_report_zooming_prints_median_of_last_tenth(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "zoom"
+        cfg_path.write_text(json.dumps({
+            "experiment": "zooming",
+            "output_dir": str(out_dir),
+            "bandit": {"horizon": 200},
+            "zoom": {"zoom_interval": 50},
+        }))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        params = [float(r["param"]) for r in read_csv(out_dir / "param_trace.csv")]
+        tail = params[-(len(params) // 10):]
+        assert f"    median selected param, last 10%: {np.median(tail):.6g}\n" in out
 
     def test_equilibrium_report_one_model(self, tmp_path, capsys):
         # with no rival model the margin is inf, in the CSV and in the summary

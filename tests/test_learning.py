@@ -13,6 +13,7 @@ from berknash import (
     SubjectiveKernel,
     ZoomConfig,
     benchmark3,
+    bilevel_objective,
     exp3_update,
     kl_divergence,
     mixture_kernel,
@@ -33,6 +34,7 @@ from berknash.learning import (
     _round_rng,
     resolve_loss_scale,
 )
+from _helpers import action1_family, action1_fixed_points
 
 
 def two_cycle_instance():
@@ -596,6 +598,44 @@ class TestRunZoomExp3:
         boundary = [ev.t - 1 for ev in rec.events]
         for i in range(len(boundary) - 1):
             assert rm[boundary[i + 1]] <= rm[boundary[i]] + 0.02
+
+    @staticmethod
+    def _action1_limit(m, temperature):
+        """Median pull of the last 150 rounds of a seed-11 zooming run over the
+        action-1 family, and the spacing of the grid those rounds refine."""
+        cfg, zoom = BanditConfig(horizon=1500, rng_seed=11), ZoomConfig(bounds=(0.0, 1.0))
+        rec = run_zoom_exp3(
+            m, lambda theta: action1_family(m, [theta]).members[0],
+            np.linspace(0.0, 1.0, 6).tolist(), cfg, zoom, SoftPlanConfig(temperature),
+        )
+        return float(np.median(rec.selected_params[-150:])), zoom.rho(cfg.horizon - 150)
+
+    def test_action1_family_limit_is_own_data_argmin(self):
+        # the learner minimizes theta -> D(d(pi_theta), theta); at lambda = 0.1
+        # its argmin, 0.0626, is not an equilibrium: the soft one is 0.4452
+        m, _ = benchmark3()
+        limit, spacing = self._action1_limit(m, 0.1)
+
+        def own(theta):
+            return bilevel_objective(m, action1_family(m, [theta]), 0, 0.1)
+
+        # golden-section search around the best point of a coarse scan
+        grid = np.linspace(0.0, 1.0, 21)
+        best = int(np.argmin([own(theta) for theta in grid]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, 20)]
+        shrink = (math.sqrt(5.0) - 1.0) / 2.0
+        while hi - lo > 1e-8:
+            a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+            lo, hi = (lo, b) if own(a) < own(b) else (a, hi)
+        assert limit == pytest.approx(0.5 * (lo + hi), abs=spacing)
+        [theta_star] = action1_fixed_points(m, 0.1)
+        assert abs(limit - theta_star) > 0.3
+
+    def test_action1_family_limit_is_equilibrium_at_low_temperature(self):
+        m, _ = benchmark3()
+        limit, spacing = self._action1_limit(m, 0.01)
+        [theta_star] = action1_fixed_points(m, 0.01)
+        assert limit == pytest.approx(theta_star, abs=spacing)
 
     # (events, suboptimal prunes, converged prunes, added arms, final set size,
     # never-pulled final arms) of seed-11 runs from the six-point initial grid:

@@ -6,16 +6,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Blocks scipy before berknash is imported, runs every pipeline at a tiny size,
-# and fails if any pipeline exits nonzero or any scipy module got loaded.
+# The package's import contract. Blocks scipy before berknash is imported,
+# runs every pipeline at a tiny size, reports the zooming run, and fails if any
+# command exits nonzero or any scipy, numpy.ma or numpy.random module got
+# loaded (all five pipelines use oracle losses, which draw no rollouts).
 SCRIPT = """
 import json, sys
 sys.modules["scipy"] = None
 from berknash.cli import main
 for path in json.loads(sys.argv[1]):
     assert main(["run", path]) == 0, path
-loaded = [name for name, mod in sys.modules.items()
-          if mod is not None and name.split(".")[0] == "scipy"]
+assert main(["report", sys.argv[2]]) == 0
+banned = ("scipy", "numpy.ma", "numpy.random")
+loaded = [name for name, mod in sys.modules.items() if mod is not None
+          and any(name == b or name.startswith(b + ".") for b in banned)]
 assert not loaded, loaded
 """
 
@@ -38,7 +42,7 @@ def test_pipelines_run_without_scipy(tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(paths)],
+        [sys.executable, "-c", SCRIPT, json.dumps(paths), str(tmp_path / "zooming")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
