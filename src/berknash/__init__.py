@@ -68,13 +68,10 @@ from .learning import (
     ZoomRunRecord,
     exp3_update,
     oracle_loss,
-    prune,
-    refine,
     rollout_loss,
     run_exp3,
     run_zoom_exp3,
     sampling_distribution,
-    uncertainty,
 )
 from .harness import (
     ConfigError,

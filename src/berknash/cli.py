@@ -6,7 +6,9 @@ Subcommands::
     berknash benchmark3 [--dump]      show or dump the builtin instance
     berknash report <rundir>          summarize a finished run directory
 
-``report`` adds a per-pipeline summary: arm frequencies for a case study,
+``report`` adds a per-pipeline summary: arm frequencies and the oracle-loss
+gap between the two best arms for a case study, the grid's ends and the
+largest entropy bonus max_x (v_soft - v_reward) at each for a lambda sweep,
 the final parameters for zooming, the accepted models and their KL margins
 per mode for an equilibrium report, and the worst primal, dual and
 slackness gaps for a duality audit.
@@ -117,6 +119,15 @@ def _cmd_report(args) -> int:
             for arm, label, freq in zip(column("arm"), column("label"),
                                         column("frequency", float)):
                 print(f"    arm {arm} ({_escaped(label)}): frequency {freq:.4f}")
+            if len(rows) > 1:
+                best, second = sorted(column("oracle_loss", float))[:2]
+                print(f"    oracle-loss gap, best to second-best arm: {second - best:.6g}")
+        if manifest["experiment"] == "lambda-sweep" and name == "sweep":
+            lams = column("lambda", float)
+            bonus = [s - r for s, r in zip(column("v_soft", float), column("v_reward", float))]
+            for end in (lams[0], lams[-1]):
+                top = max(b for lam, b in zip(lams, bonus) if lam == end)
+                print(f"    lambda {end:g}: max entropy bonus over states {top:.9g}")
         if manifest["experiment"] == "zooming" and name == "final_set":
             params = sorted(column("param", float))
             print(f"    final params: {[round(p, 6) for p in params]}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import RESIDUAL_GROUPS, enumerate_equilibria
+from .equilibrium import FEAS_TOL, RESIDUAL_GROUPS, enumerate_equilibria
 from .learning import BanditConfig, ZoomConfig, run_exp3, run_zoom_exp3
 from .mdp import MDPInstance, policy_value, validate_instance
 from .models import ConjectureSet, SubjectiveKernel, mixture_family, mixture_kernel
@@ -32,7 +32,7 @@ from .planning import (
     value_iteration,
 )
 from .simplex import simplex_solve
-from .soft_planning import SoftPlanConfig, soft_best_response
+from .soft_planning import TEMPERATURE_RANGE, SoftPlanConfig, soft_best_response
 
 ENV_OUTPUT_DIR = "BERKNASH_OUTPUT_DIR"
 
@@ -297,6 +297,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     presets = {"soft": {"temperature": 0.1}, "bandit": {"rng_seed": seed}}
     sections = {name: _build(data, name, **presets.get(name, {})) for name in SECTIONS}
+    lo, hi = TEMPERATURE_RANGE
+    for field, value in (("soft.temperature", sections["soft"].temperature),
+                         ("lambda_grid.min", sections["lambda_grid"].min),
+                         ("lambda_grid.max", sections["lambda_grid"].max)):
+        if not lo <= value <= hi:
+            raise ConfigError(f"{field}: must lie in the supported range [{lo:g}, {hi:g}], "
+                              f"got {value!r}")
     if not (0 <= sections["lambda_grid"].model_index < len(conjectures)):
         raise ConfigError("lambda_grid.model_index: out of range for conjecture set")
     # zooming searches mixture_kernel's weight, which lies in [0, 1]
@@ -517,6 +524,14 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
                 f"  model {e.model_index} ({e.label}), kl_margin={e.kl_margin:.6g}, "
                 f"divergence={e.divergence:.6g}"
             )
+            if e.kl_margin <= FEAS_TOL:
+                tied = [f"model {j} ({cfg.conjectures.members[j].label})"
+                        for j, d_j in enumerate(e.divergence_vector)
+                        if j != e.model_index and abs(d_j - e.divergence) <= FEAS_TOL]
+                summary_lines.append(
+                    f"    tied in KL with {', '.join(tied)}: "
+                    "beliefs mixing the tied models are not searched"
+                )
     columns = {"mode": [mode for mode, _ in rows]}
     # kl_margin is None, and written blank, where the true chain is reducible
     for name in ("model_index", "label", "accepted", "kl_margin", "reason"):

@@ -3,7 +3,7 @@
 One exponential-weights loop serves both learners. Over a fixed conjecture
 set it runs as is; the adaptive variant adds a zoom step that every
 ``zoom_interval`` rounds prunes clearly-suboptimal or resolved parameters
-and refines a local grid around the promising ones.
+and refines a local grid around the best arm that is still uncertain.
 
 Randomness discipline: every random draw comes from a generator seeded by
 (seed, round, stream), with stream 0 for arm sampling and stream 1 for
@@ -217,12 +217,6 @@ def exp3_update(weights, arm: int, loss: float, prob: float, learning_rate: floa
     weights[:] = [max(w / top, 1e-300) for w in weights]
 
 
-def uncertainty(pull_counts: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Per-arm uncertainty scale * (N v 1)^(-1/2)."""
-    counts = np.maximum(np.asarray(pull_counts, dtype=float), 1.0)
-    return scale / np.sqrt(counts)
-
-
 def resolve_loss_scale(
     m: MDPInstance, members, cfg: BanditConfig
 ) -> float:
@@ -347,56 +341,6 @@ class Exp3RunRecord:
     running_mean: np.ndarray
     regret: np.ndarray
     selection_frequencies: np.ndarray
-
-
-def prune(
-    mean_losses: np.ndarray,
-    uncertainties: np.ndarray,
-    alpha: float,
-    delta: float,
-) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """Drop arms that are clearly worse than the best or already resolved.
-
-    The incumbent (lowest running mean, lowest index on ties) is exempt from
-    the "converged" rule: freezing the best arm must not delete it.
-    """
-    L = np.asarray(mean_losses, dtype=float)
-    U = np.asarray(uncertainties, dtype=float)
-    incumbent = int(np.argmin(L))
-    floor = L[incumbent] + alpha
-    kept: list[int] = []
-    pruned: list[tuple[int, str]] = []
-    for k in range(L.size):
-        if k == incumbent:
-            kept.append(k)
-        elif L[k] > floor:
-            pruned.append((k, "suboptimal"))
-        elif U[k] < delta:
-            pruned.append((k, "converged"))
-        else:
-            kept.append(k)
-    return np.array(kept, dtype=int), pruned
-
-
-def refine(params, radius: float, grid_size: int, bounds, existing=()) -> list[float]:
-    """Evenly spaced local grids around each parameter, clipped to bounds.
-
-    Each parameter gets ``grid_size`` points on its clipped interval. Points
-    within 1e-12 of an existing or already-emitted parameter are dropped.
-    """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    lo_b, hi_b = bounds
-    seen = [float(p) for p in existing]
-    out: list[float] = []
-    for p in params:
-        p = float(p)
-        for point in np.linspace(max(lo_b, p - radius), min(hi_b, p + radius), grid_size):
-            point = float(point)
-            if all(abs(point - other) > DEDUPE_TOL for other in seen):
-                seen.append(point)
-                out.append(point)
-    return out
 
 
 @dataclass(frozen=True)
@@ -542,55 +486,62 @@ def _bandit_loop(
 def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfig):
     """Prune and refine the parameter set at zoom boundary ``t``.
 
+    With alpha, delta and rho the schedule's values at ``t``, a pulled arm's
+    uncertainty is ``uncertainty_scale / math.sqrt(count)`` (correctly
+    rounded, as ``np.sqrt`` is). Never-pulled arms have no loss estimate
+    yet, so they are kept untouched and neither pruned nor refined around.
+    Among the pulled arms:
+
+    - the incumbent, of lowest running mean (lowest index on ties), is kept;
+    - another arm is "suboptimal" if its mean exceeds the incumbent's plus
+      alpha, else "converged" if its uncertainty is below delta, else kept;
+    - the refinement center is the kept arm of lowest mean (lowest index on
+      ties) whose uncertainty is at least delta; with none, nothing is added.
+
+    Refining every near-optimal arm would grow the set geometrically (rho
+    shrinks faster than the alpha band), so resolution is added around the
+    center p only. A point of ``np.linspace(max(lo, p - rho), min(hi, p +
+    rho), grid_size)`` joins ``seen`` if it lies more than ``DEDUPE_TOL``
+    from every kept parameter and earlier point in ``seen``, and joins the
+    set if it also lies at least rho/2 from every kept and added arm: closer
+    points add no resolution and would let the set grow without bound. Once
+    rho/2 is below ``DEDUPE_TOL``, that tolerance alone stops the growth.
+
     Kept arms carry their weight, count and running mean over; new arms
-    start at the median kept weight with their parent's running mean as
+    start at the median kept weight with the center's running mean as
     prior. ``weights``, ``counts`` and ``means`` are the loop's lists.
     Returns the new ``(params, weights, counts, means)`` and the event.
     """
     delta, rho = zoom_cfg.delta(t), zoom_cfg.rho(t)
-    unc = uncertainty(counts, zoom_cfg.uncertainty_scale)
-    # Zoom decisions need evidence: never-pulled arms have no loss
-    # estimate yet, so they are kept untouched and neither pruned
-    # nor used as refinement centers.
-    pulled = [k for k, n in enumerate(counts) if n > 0]
-    _, pruned_sub = prune([means[k] for k in pulled], unc[pulled], zoom_cfg.alpha(t), delta)
-    dropped = {pulled[i] for i, _ in pruned_sub}
-    kept = [k for k in range(len(params)) if k not in dropped]
+    # the round just played pulled an arm, so the incumbent exists
+    incumbent = min((k for k, n in enumerate(counts) if n > 0), key=means.__getitem__)
+    floor = means[incumbent] + zoom_cfg.alpha(t)
+    kept, pruned, uncertain = [], [], []
+    for k, n in enumerate(counts):
+        resolved = n > 0 and zoom_cfg.uncertainty_scale / math.sqrt(n) < delta
+        if k != incumbent and n > 0 and (means[k] > floor or resolved):
+            pruned.append((params[k], "suboptimal" if means[k] > floor else "converged"))
+            continue
+        kept.append(k)
+        if n > 0 and not resolved:
+            uncertain.append(k)
 
-    def by_mean(k):
-        return means[k], k
-
-    # Refinement centers: the grid is allowed to be any subset of the
-    # radius-rho ball, and refining every near-optimal arm grows the
-    # set geometrically (rho shrinks faster than the alpha band), so
-    # resolution is added around the best still-uncertain arm only.
-    # prune keeps a pulled arm other than the incumbent only if it lies
-    # within alpha of the best and its uncertainty is at least delta.
-    active = [k for k in kept if counts[k] > 0 and unc[k] >= delta]
-    # prune always retains the incumbent, so kept_params is nonempty
     kept_params = [params[k] for k in kept]
     added: list = []
     prior = 0.0
-    if active:
-        center = min(active, key=by_mean)
-        prior = means[center]
-        fresh = refine(
-            [params[center]], rho, zoom_cfg.grid_size, zoom_cfg.bounds, existing=kept_params
-        )
-        # The refinement grid only has to be a subset of the radius-
-        # rho ball; points closer than rho/2 to an existing arm add
-        # no resolution and would let the set grow without bound.
-        for pp in fresh:
-            if min(abs(pp - qq) for qq in kept_params + added) >= 0.5 * rho:
-                added.append(pp)
+    if uncertain:
+        center = min(uncertain, key=means.__getitem__)
+        p, (lo, hi), prior = params[center], zoom_cfg.bounds, means[center]
+        seen = list(kept_params)
+        grid = np.linspace(max(lo, p - rho), min(hi, p + rho), zoom_cfg.grid_size).tolist()
+        for point in grid:
+            if all(abs(point - q) > DEDUPE_TOL for q in seen):
+                seen.append(point)
+                if all(abs(point - q) >= 0.5 * rho for q in kept_params + added):
+                    added.append(point)
 
-    event = ZoomEvent(
-        t=t,
-        incumbent_param=params[min(pulled, key=by_mean)],
-        kept=tuple(kept_params),
-        pruned=tuple((params[pulled[i]], why) for i, why in pruned_sub),
-        added=tuple(added),
-    )
+    event = ZoomEvent(t=t, incumbent_param=params[incumbent], kept=tuple(kept_params),
+                      pruned=tuple(pruned), added=tuple(added))
     kept_w = [weights[k] for k in kept]
     # the median of the kept weights is never above their max
     top = max(kept_w)

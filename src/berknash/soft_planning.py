@@ -17,6 +17,8 @@ from .mdp import MDPInstance
 from .planning import _newton, backup_values
 
 FP_TOL = 1e-10
+# the temperatures the corner tests certify; a config outside them is refused
+TEMPERATURE_RANGE = (1e-6, 1e4)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from berknash import (
     entropy_bn_select,
     induced_kernel,
     load_config,
+    mixture_kernel,
     run_experiment,
     soft_best_response,
     softmax_policy,
@@ -32,6 +33,7 @@ from berknash import (
 from berknash import harness
 from berknash.cli import main as cli_main
 from berknash.harness import LambdaGridConfig, _fmt, _write_csv
+from berknash.soft_planning import TEMPERATURE_RANGE
 
 
 def read_csv(path):
@@ -563,6 +565,78 @@ class TestCLI:
         tail = params[-(len(params) // 10):]
         assert f"    median selected param, last 10%: {np.median(tail):.6g}\n" in out
 
+    def test_report_case_study_prints_oracle_loss_gap(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "case"
+        cfg_path.write_text(json.dumps({
+            "experiment": "case-study", "output_dir": str(out_dir), "bandit": {"horizon": 30},
+        }))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        losses = sorted(float(r["oracle_loss"]) for r in read_csv(out_dir / "frequencies.csv"))
+        gap = losses[1] - losses[0]
+        assert f"    oracle-loss gap, best to second-best arm: {gap:.6g}\n" in out
+        assert f"{gap:.6g}" == "0.198724"
+
+    def test_report_lambda_sweep_prints_entropy_bonus_at_grid_ends(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "sweep"
+        cfg_path.write_text(json.dumps({
+            "experiment": "lambda-sweep", "output_dir": str(out_dir),
+            "lambda_grid": {"points": 3},
+        }))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        rows = read_csv(out_dir / "sweep.csv")
+        m, _ = benchmark3()
+        for lam in (1e-4, 1e4):
+            bonus = max(float(r["v_soft"]) - float(r["v_reward"])
+                        for r in rows if float(r["lambda"]) == lam)
+            assert f"    lambda {lam:g}: max entropy bonus over states {bonus:.9g}\n" in out
+            # at most lam * log A / (1 - beta), reached where the policy is uniform
+            bound = lam * math.log(m.num_actions) / (1.0 - m.discount)
+            assert 0.0 <= bonus <= bound * (1 + 1e-12)
+        assert f"{bonus:.9g}" == f"{bound:.9g}" == "138629.436"
+
+    def test_temperature_range_endpoints_accepted(self, tmp_path):
+        lo, hi = TEMPERATURE_RANGE
+        assert (lo, hi) == (1e-6, 1e4)
+        for temperature in (lo, hi):
+            cfg = config_from_dict({"experiment": "case-study", "soft": {"temperature": temperature},
+                                    "lambda_grid": {"min": lo, "max": hi}})
+            assert cfg.soft.temperature == temperature
+
+    def test_equilibrium_report_names_kl_tied_models(self, tmp_path):
+        # benchmark3's true kernel twice: each copy is accepted at margin 0
+        m, _ = benchmark3()
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "ties"
+        cfg_path.write_text(json.dumps({
+            "experiment": "equilibrium-report", "output_dir": str(out_dir),
+            "conjectures": {"kernels": [
+                {"kernel": m.kernel.tolist(), "label": "truth-a"},
+                {"kernel": m.kernel.tolist(), "label": "truth-b"},
+                {"kernel": mixture_kernel(m, 0.3).kernel.tolist(), "label": "eps=0.3"},
+            ]},
+        }))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        rows = read_csv(out_dir / "equilibria.csv")
+        assert [(r["mode"], r["model_index"]) for r in rows if r["accepted"] == "true"] == [
+            ("hard", "0"), ("hard", "1"), ("soft", "0"), ("soft", "1")]
+        summary = (out_dir / "summary.txt").read_text()
+        note = ": beliefs mixing the tied models are not searched\n"
+        for mode in ("hard", "soft"):
+            assert (f"mode={mode}: 2 equilibrium(ia)\n"
+                    "  model 0 (truth-a), kl_margin=0, divergence=0\n"
+                    f"    tied in KL with model 1 (truth-b){note}"
+                    "  model 1 (truth-b), kl_margin=0, divergence=0\n"
+                    f"    tied in KL with model 0 (truth-a){note}") in summary
+        assert "eps=0.3" not in summary
+
     def test_equilibrium_report_one_model(self, tmp_path, capsys):
         # with no rival model the margin is inf, in the CSV and in the summary
         cfg_path = tmp_path / "cfg.json"
@@ -704,6 +778,14 @@ class TestCLI:
              "conjectures.kernels[0]: missing field 'kernel'"),
             (json.dumps({"experiment": "case-study", "bandit": {"horizon": 2**32}}),
              "bandit: horizon must lie in [1, 2**32), got 4294967296"),
+            (json.dumps({"experiment": "case-study", "soft": {"temperature": 5e-324}}),
+             "soft.temperature: must lie in the supported range [1e-06, 10000], got 5e-324"),
+            (json.dumps({"experiment": "zooming", "soft": {"temperature": 1.7e308}}),
+             "soft.temperature: must lie in the supported range"),
+            (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"min": 5e-324}}),
+             "lambda_grid.min: must lie in the supported range"),
+            (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"max": 1.7e308}}),
+             "lambda_grid.max: must lie in the supported range"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -717,7 +799,9 @@ class TestCLI:
              "param-list", "param-str", "param-bool", "param-nan", "label-int",
              "kernel-item-typo", "epsilons-and-kernels", "kernel-item-str",
              "conjectures-typo", "mdp-typo", "negative-seed", "zoom-bounds-above-one",
-             "zoom-bounds-unreached", "kernel-item-missing-kernel", "horizon-2**32"],
+             "zoom-bounds-unreached", "kernel-item-missing-kernel", "horizon-2**32",
+             "temperature-subnormal", "temperature-huge", "lambda-min-subnormal",
+             "lambda-max-huge"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)

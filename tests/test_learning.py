@@ -18,20 +18,18 @@ from berknash import (
     kl_divergence,
     mixture_kernel,
     oracle_loss,
-    prune,
-    refine,
     rollout_loss,
     run_exp3,
     run_zoom_exp3,
     sampling_distribution,
     soft_best_response,
-    uncertainty,
 )
 from berknash.learning import (
     ROLLOUT_STREAM,
     _arm_uniforms,
     _draw_arm,
     _round_rng,
+    _zoom_step,
     resolve_loss_scale,
 )
 from _helpers import action1_family, action1_fixed_points
@@ -486,58 +484,76 @@ class TestConfigValidation:
         assert z.delta(500) == pytest.approx(0.02)
 
 
+def zoom_once(params, counts, means, **zoom):
+    """The event of one zoom step at t = 1, where every schedule is at its
+    initial value; each arm's uncertainty is uncertainty_scale/sqrt(count)."""
+    cfg = ZoomConfig(zoom_interval=1000, **zoom)
+    *_, event = _zoom_step(1, list(params), [1.0] * len(params), list(counts), list(means), cfg)
+    return event
+
+
 class TestPrune:
+    # counts of 4 give uncertainty 0.5, and 10**4 give 0.01, at scale 1
+
     def test_suboptimal_rule(self):
-        kept, pruned = prune([0.1, 0.5], [0.5, 0.5], alpha=0.2, delta=0.05)
-        assert kept.tolist() == [0]
-        assert pruned == [(1, "suboptimal")]
+        ev = zoom_once([0.0, 0.1], [4, 4], [0.1, 0.5], alpha0=0.2, delta0=0.05)
+        assert ev.kept == (0.0,)
+        assert ev.pruned == ((0.1, "suboptimal"),)
 
     def test_converged_rule(self):
-        kept, pruned = prune([0.1, 0.12], [0.5, 0.01], alpha=0.2, delta=0.05)
-        assert kept.tolist() == [0]
-        assert pruned == [(1, "converged")]
+        ev = zoom_once([0.0, 0.1], [4, 10**4], [0.1, 0.12], alpha0=0.2, delta0=0.05)
+        assert ev.kept == (0.0,)
+        assert ev.pruned == ((0.1, "converged"),)
 
     def test_nothing_pruned_when_all_close_and_uncertain(self):
-        kept, pruned = prune([0.1, 0.15, 0.2], [0.5, 0.5, 0.5], alpha=0.2, delta=0.05)
-        assert kept.tolist() == [0, 1, 2]
-        assert pruned == []
+        ev = zoom_once([0.0, 0.1, 0.2], [4, 4, 4], [0.1, 0.15, 0.2], alpha0=0.2, delta0=0.05)
+        assert ev.kept == (0.0, 0.1, 0.2)
+        assert ev.pruned == ()
 
     def test_incumbent_never_pruned_even_when_converged(self):
-        kept, pruned = prune([0.1, 0.3], [0.01, 0.5], alpha=0.1, delta=0.05)
-        assert 0 in kept.tolist()
-        assert (0, "converged") not in pruned
+        ev = zoom_once([0.0, 0.1], [10**4, 4], [0.1, 0.3], alpha0=0.1, delta0=0.05)
+        assert ev.incumbent_param == 0.0
+        assert ev.kept == (0.0,)
+        assert ev.pruned == ((0.1, "suboptimal"),)
 
     def test_uncertainty_formula(self):
-        np.testing.assert_allclose(
-            uncertainty([0, 1, 4, 100], scale=2.0), [2.0, 2.0, 1.0, 0.2], atol=1e-15
-        )
+        # at scale 2, counts 1, 4, 5, 100 and 101 give uncertainties 2, 1,
+        # 0.894, 0.2 and 0.199: an arm converges once it falls below delta;
+        # the never-pulled last arm is kept whatever its prior mean
+        params, counts = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], [1, 4, 5, 100, 101, 0]
+        for delta, converged in ((1.0, [0.2, 0.3, 0.4]), (0.2, [0.4])):
+            ev = zoom_once(params, counts, [0.1] * 5 + [0.9], alpha0=0.2, delta0=delta,
+                           uncertainty_scale=2.0)
+            assert ev.pruned == tuple((p, "converged") for p in converged)
+            assert ev.kept == tuple(p for p in params if p not in converged)
 
 
 class TestRefine:
+    # a lone arm pulled 4 times is the incumbent and, at uncertainty 0.5,
+    # the refinement center; its own grid point is already in the set
+
     def test_basic_grid(self):
-        pts = refine([0.1], radius=0.05, grid_size=3, bounds=(0.0, 0.5))
-        np.testing.assert_allclose(pts, [0.05, 0.1, 0.15], atol=1e-15)
+        ev = zoom_once([0.1], [4], [0.1], rho0=0.05, grid_size=3, bounds=(0.0, 0.5))
+        np.testing.assert_allclose(ev.added, [0.05, 0.15], atol=1e-15)
 
     def test_boundary_clipping(self):
-        pts = refine([0.0], radius=0.1, grid_size=3, bounds=(0.0, 0.5))
-        np.testing.assert_allclose(pts, [0.0, 0.05, 0.1], atol=1e-15)
+        # the points 0.05 and 0.1 lie exactly rho/2 = 0.05 apart, and are kept
+        ev = zoom_once([0.0], [4], [0.1], rho0=0.1, grid_size=3, bounds=(0.0, 0.5))
+        np.testing.assert_allclose(ev.added, [0.05, 0.1], atol=1e-15)
 
     def test_duplicates_dropped(self):
-        pts = refine([0.1], radius=0.05, grid_size=3, bounds=(0.0, 0.5),
-                     existing=[0.1, 0.05])
-        np.testing.assert_allclose(pts, [0.15], atol=1e-15)
+        ev = zoom_once([0.1, 0.05], [4, 4], [0.1, 0.12], rho0=0.05, grid_size=3,
+                       bounds=(0.0, 0.5))
+        assert ev.kept == (0.1, 0.05)
+        np.testing.assert_allclose(ev.added, [0.15], atol=1e-15)
 
     def test_never_leaves_bounds(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             center = float(rng.uniform(0.0, 0.5))
             radius = float(rng.uniform(0.01, 0.3))
-            pts = refine([center], radius, 5, (0.0, 0.5))
-            assert all(0.0 <= p <= 0.5 for p in pts)
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError, match="grid_size"):
-            refine([0.1], 0.05, 1, (0.0, 0.5))
+            ev = zoom_once([center], [4], [0.1], rho0=radius, grid_size=5, bounds=(0.0, 0.5))
+            assert ev.added and all(0.0 <= p <= 0.5 for p in ev.added)
 
 
 class TestRunZoomExp3:
@@ -639,16 +655,19 @@ class TestRunZoomExp3:
 
     # (events, suboptimal prunes, converged prunes, added arms, final set size,
     # never-pulled final arms) of seed-11 runs from the six-point initial grid:
-    # the default zooming pipeline, and a schedule whose delta0 = 0.2 at
-    # uncertainty_scale 0.5 prunes arms as converged after 7 pulls.
+    # the default zooming pipeline; a schedule whose delta0 = 0.2 at
+    # uncertainty_scale 0.5 prunes arms as converged after 7 pulls; and the
+    # default schedule run on to where rho/2 falls below DEDUPE_TOL (t >= 3600),
+    # after which that tolerance alone keeps the set from growing.
     @pytest.mark.parametrize(
         "horizon, zoom, expected",
         [
             (1500, {}, (15, 9, 0, 16, 13, 1)),
             (600, {"zoom_interval": 15, "alpha0": 0.3, "delta0": 0.2, "uncertainty_scale": 0.5},
              (40, 6, 56, 70, 14, 0)),
+            (8000, {}, (80, 20, 0, 36, 22, 0)),
         ],
-        ids=["default", "converged-prunes"],
+        ids=["default", "converged-prunes", "tiny-rho"],
     )
     def test_frozen_zoom_counts(self, horizon, zoom, expected):
         m, family = self._setup()
