@@ -6,28 +6,22 @@ Subcommands::
     berknash benchmark3 [--dump]      show or dump the builtin instance
     berknash report <rundir>          summarize a finished run directory
 
-``report`` adds a per-pipeline summary: arm frequencies and the oracle-loss
-gap between the two best arms for a case study, the grid's ends and the
-largest entropy bonus max_x (v_soft - v_reward) at each for a lambda sweep,
-the final parameters for zooming, the accepted models and their KL margins
-per mode for an equilibrium report, and the worst primal, dual and
-slackness gaps for a duality audit.
+``report`` lists the artifacts a run's manifest names, then prints the
+run's ``summary.txt`` as written: the lines each pipeline builds in
+:mod:`berknash.harness` from the values it wrote to its CSVs.
 
-Exit codes: 0 success, 2 config/parse error (a malformed run manifest, or
-a summarized CSV without rows or without a column the summary reads,
-included), 3 validation error, 4 runtime failure.
+Exit codes: 0 success, 2 config/parse error (a malformed or non-UTF-8 run
+manifest or summary included), 3 validation error, 4 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import statistics
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, benchmark3, load_config, run_experiment
+from .harness import ConfigError, benchmark3, load_config, read_text, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,18 +62,13 @@ def _cmd_benchmark3(args) -> int:
     return EXIT_OK
 
 
-def _escaped(text: str) -> str:
-    """``text`` with backslashes and unprintable characters escaped as in a literal."""
-    return "".join(c if c.isprintable() and c != "\\" else repr(c)[1:-1] for c in text)
-
-
 def _cmd_report(args) -> int:
     run_dir = Path(args.rundir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json in {run_dir}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{manifest_path}: parse error at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -96,58 +85,9 @@ def _cmd_report(args) -> int:
     print(f"experiment: {manifest['experiment']}  seed: {manifest['seed']}")
     print(f"versions: {manifest['versions']}")
     for name, fname in artifacts.items():
-        path = run_dir / fname
-        if path.suffix != ".csv" or not path.is_file():
-            print(f"  {name}: {fname}")
-            continue
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-
-        def column(header, parse=str, of=rows):
-            if header not in (reader.fieldnames or ()):
-                raise ConfigError(f"{path}: no {header} column")
-            if not rows:
-                raise ConfigError(f"{path}: no rows")
-            try:
-                return [parse(r[header]) for r in of]
-            except (TypeError, ValueError):  # a short row reads None
-                raise ConfigError(f"{path}: unreadable {header} value") from None
-
-        print(f"  {name}: {fname} ({len(rows)} rows)")
-        if manifest["experiment"] == "case-study" and name == "frequencies":
-            for arm, label, freq in zip(column("arm"), column("label"),
-                                        column("frequency", float)):
-                print(f"    arm {arm} ({_escaped(label)}): frequency {freq:.4f}")
-            if len(rows) > 1:
-                best, second = sorted(column("oracle_loss", float))[:2]
-                print(f"    oracle-loss gap, best to second-best arm: {second - best:.6g}")
-        if manifest["experiment"] == "lambda-sweep" and name == "sweep":
-            lams = column("lambda", float)
-            bonus = [s - r for s, r in zip(column("v_soft", float), column("v_reward", float))]
-            for end in (lams[0], lams[-1]):
-                top = max(b for lam, b in zip(lams, bonus) if lam == end)
-                print(f"    lambda {end:g}: max entropy bonus over states {top:.9g}")
-        if manifest["experiment"] == "zooming" and name == "final_set":
-            params = sorted(column("param", float))
-            print(f"    final params: {[round(p, 6) for p in params]}")
-        if manifest["experiment"] == "zooming" and name == "param_trace":
-            tail = column("param", float)[-max(1, len(rows) // 10):]
-            print(f"    median selected param, last 10%: {statistics.median(tail):.6g}")
-        if manifest["experiment"] == "equilibrium-report" and name == "equilibria":
-            modes, flags = column("mode"), column("accepted")
-            for mode in dict.fromkeys(modes):
-                hits = [r for r, m, ok in zip(rows, modes, flags) if m == mode and ok == "true"]
-                print(f"    {mode}: {len(hits)} accepted")
-                for k, label, margin in zip(column("model_index", int, hits),
-                                            column("label", str, hits),
-                                            column("kl_margin", float, hits)):
-                    print(f"      model {k} ({_escaped(label)}): kl_margin {margin:.6g}")
-        if manifest["experiment"] == "duality-audit" and name == "duality":
-            for header, title in (("primal_gap", "max primal gap: "),
-                                  ("dual_gap", "max dual gap:   "),
-                                  ("max_slackness_violation", "max slack abuse:")):
-                print(f"    {title} {max(column(header, float)):.3e}")
+        print(f"  {name}: {fname}")
+    if "summary" in artifacts and (run_dir / artifacts["summary"]).is_file():
+        print(read_text(run_dir / artifacts["summary"]), end="")
     return EXIT_OK
 
 

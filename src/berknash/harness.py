@@ -1,8 +1,12 @@
 """Experiment harness: JSON configs, the frozen benchmark instance, and
-seeded end-to-end pipelines that emit CSV artifacts plus a manifest.
+seeded end-to-end pipelines that emit CSV artifacts, a ``summary.txt`` and a
+manifest.
 
 Every pipeline is deterministic given the config and seed; CSV floats are
-written with 17 significant digits so reruns are byte-identical.
+written with 17 significant digits so reruns are byte-identical. Each
+pipeline also returns its summary lines, built from the values it just
+wrote: the file ``berknash report`` prints, so no other module reads the
+CSVs back.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import time
 import typing
 from dataclasses import dataclass, fields
@@ -149,6 +154,10 @@ class RunArtifacts:
     csv_paths: dict[str, Path]
 
 
+# a pipeline's artifact paths by name, and the lines of its summary.txt
+_Output = tuple[dict[str, Path], list[str]]
+
+
 _KINDS = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
 
 
@@ -267,7 +276,10 @@ def _conjectures_from_spec(spec, m: MDPInstance) -> ConjectureSet:
                 members.append(SubjectiveKernel(kernel=kernel, label=label, param=param))
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"{field}: {err}") from None
-        return ConjectureSet(members=tuple(members))
+        try:
+            return ConjectureSet(members=tuple(members))
+        except ValueError as err:
+            raise ConfigError(f"conjectures.kernels: {err}") from None
     raise ConfigError("conjectures: provide either 'epsilons' or 'kernels'")
 
 
@@ -323,15 +335,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config from disk."""
-    path = Path(path)
+def read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``; an unreadable or undecodable file is a ConfigError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config from disk."""
+    path = Path(path)
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -350,6 +367,11 @@ def _fmt(value) -> str:
     if type(value) is bool:
         return "true" if value else "false"
     raise TypeError(f"CSV cell must be a Python float, int, bool or str, got {value!r}")
+
+
+def _escaped(text: str) -> str:
+    """``text`` with backslashes and unprintable characters escaped as in a literal."""
+    return "".join(c if c.isprintable() and c != "\\" else repr(c)[1:-1] for c in text)
 
 
 def _quote(cell: str) -> str:
@@ -396,12 +418,15 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
-    """Dispatch to the pipeline for ``cfg.kind`` and write its artifact set."""
+    """Dispatch to the pipeline for ``cfg.kind`` and write its artifact set:
+    the pipeline's CSVs, its summary lines as ``summary.txt``, and the manifest."""
     start = time.perf_counter()
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    csvs = _PIPELINES[cfg.kind](cfg, out)
+    paths, summary = _PIPELINES[cfg.kind](cfg, out)
+    paths["summary"] = out / "summary.txt"
+    paths["summary"].write_text("\n".join(summary) + "\n", encoding="utf-8")
 
     manifest_path = out / "manifest.json"
     manifest = {
@@ -413,15 +438,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
             "numpy": np.__version__,
             "berknash": __version__,
         },
-        "artifacts": {name: path.name for name, path in csvs.items()},
+        "artifacts": {name: path.name for name, path in paths.items()},
         "wall_clock_seconds": time.perf_counter() - start,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                              encoding="utf-8")
-    return RunArtifacts(output_dir=out, manifest_path=manifest_path, csv_paths=csvs)
+    return RunArtifacts(output_dir=out, manifest_path=manifest_path, csv_paths=paths)
 
 
-def _run_case_study(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
+def _run_case_study(cfg: ExperimentConfig, out: Path) -> _Output:
     record = run_exp3(cfg.instance, cfg.conjectures, cfg.bandit, cfg.soft)
     K = len(cfg.conjectures)
     params = ["" if p is None else p for p in record.params]
@@ -439,10 +464,15 @@ def _run_case_study(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
         "prob": record.probs, "loss": record.losses,
         "running_mean": record.running_mean, "regret": record.regret,
     })
-    return {"frequencies": freq_path, "loss_trace": trace_path}
+    summary = [f"arm {k} ({_escaped(label)}): frequency {f:.4f}"
+               for k, (label, f) in enumerate(zip(record.labels, record.selection_frequencies))]
+    if K > 1:
+        best, second = sorted(record.oracle_losses.tolist())[:2]
+        summary.append(f"oracle-loss gap, best to second-best arm: {second - best:.6g}")
+    return {"frequencies": freq_path, "loss_trace": trace_path}, summary
 
 
-def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
+def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> _Output:
     member = cfg.conjectures.members[cfg.lambda_grid.model_index]
     m_theta = cfg.instance.with_kernel(member.kernel)
     lams = cfg.lambda_grid.values().tolist()
@@ -459,10 +489,13 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
         "action": np.tile(np.arange(A), n * S), "pi": np.ravel(pis),
         "v_soft": np.repeat(v_softs, A), "v_reward": np.repeat(v_rewards, A),
     })
-    return {"sweep": sweep_path}
+    summary = [f"lambda {lams[i]:g}: max entropy bonus over states "
+               f"{max(s - r for s, r in zip(v_softs[i].tolist(), v_rewards[i].tolist())):.9g}"
+               for i in (0, -1)]
+    return {"sweep": sweep_path}, summary
 
 
-def _run_zooming(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
+def _run_zooming(cfg: ExperimentConfig, out: Path) -> _Output:
     lo, hi = cfg.zoom.bounds
     initial = np.linspace(lo, hi, cfg.zoom.initial_grid).tolist()
     record = run_zoom_exp3(
@@ -497,19 +530,22 @@ def _run_zooming(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
         "num_pruned_converged": [sum(w == "converged" for _, w in ev.pruned) for ev in events],
         "num_added": [len(ev.added) for ev in events],
     })
+    tail = record.selected_params[-max(1, len(t) // 10):].tolist()
+    summary = [f"final params: {[round(p, 6) for p in sorted(record.final_params)]}",
+               f"median selected param, last 10%: {statistics.median(tail):.6g}"]
     return {
         "param_trace": trace_path,
         "set_size": size_path,
         "final_set": final_path,
         "zoom_events": events_path,
-    }
+    }, summary
 
 
-def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
+def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> _Output:
     eq = cfg.equilibrium
     modes = ("hard", "soft") if eq.mode == "both" else (eq.mode,)
     rows = []  # (mode, diagnostic), one per CSV row
-    summary_lines = []
+    summary = []
     for mode in modes:
         report = enumerate_equilibria(
             cfg.instance,
@@ -518,17 +554,17 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
             temperature=cfg.soft.temperature if mode == "soft" else None,
         )
         rows += [(mode, diag) for diag in report.diagnostics]
-        summary_lines.append(f"mode={mode}: {len(report.equilibria)} equilibrium(ia)")
+        summary.append(f"mode={mode}: {len(report.equilibria)} equilibrium(ia)")
         for e in report.equilibria:
-            summary_lines.append(
-                f"  model {e.model_index} ({e.label}), kl_margin={e.kl_margin:.6g}, "
+            summary.append(
+                f"  model {e.model_index} ({_escaped(e.label)}), kl_margin={e.kl_margin:.6g}, "
                 f"divergence={e.divergence:.6g}"
             )
             if e.kl_margin <= FEAS_TOL:
-                tied = [f"model {j} ({cfg.conjectures.members[j].label})"
+                tied = [f"model {j} ({_escaped(cfg.conjectures.members[j].label)})"
                         for j, d_j in enumerate(e.divergence_vector)
                         if j != e.model_index and abs(d_j - e.divergence) <= FEAS_TOL]
-                summary_lines.append(
+                summary.append(
                     f"    tied in KL with {', '.join(tied)}: "
                     "beliefs mixing the tied models are not searched"
                 )
@@ -548,12 +584,10 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> dict[str, Path]
         ]
     eq_path = out / "equilibria.csv"
     _write_csv(eq_path, columns)
-    summary_path = out / "summary.txt"
-    summary_path.write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-    return {"equilibria": eq_path, "summary": summary_path}
+    return {"equilibria": eq_path}, summary
 
 
-def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
+def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> _Output:
     primal_obj, vi_sum, dual_obj, vi_mu0, slackness, greedy_ok = [], [], [], [], [], []
     for member in cfg.conjectures:
         m_k = cfg.instance.with_kernel(member.kernel)
@@ -582,17 +616,21 @@ def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> dict[str, Path]:
             set(np.flatnonzero(pi[x] > 1e-8)) <= set(greedy[x].tolist())
             for x in np.flatnonzero(eta.sum(axis=1) > 0.0)
         ))
+    primal_gap = np.abs(np.subtract(primal_obj, vi_sum)).tolist()
+    dual_gap = np.abs(np.subtract(dual_obj, vi_mu0)).tolist()
     path = out / "duality.csv"
     _write_csv(path, {
         "model_index": range(len(cfg.conjectures)),
         "label": [member.label for member in cfg.conjectures],
         "primal_objective": primal_obj, "vi_sum_values": vi_sum,
         "dual_objective": dual_obj, "vi_mu0_weighted": vi_mu0,
-        "primal_gap": np.abs(np.subtract(primal_obj, vi_sum)),
-        "dual_gap": np.abs(np.subtract(dual_obj, vi_mu0)),
+        "primal_gap": primal_gap, "dual_gap": dual_gap,
         "max_slackness_violation": slackness, "occupation_policy_greedy": greedy_ok,
     })
-    return {"duality": path}
+    summary = [f"max primal gap:  {max(primal_gap):.3e}",
+               f"max dual gap:    {max(dual_gap):.3e}",
+               f"max slack abuse: {max(slackness):.3e}"]
+    return {"duality": path}, summary
 
 
 # The pipeline of each experiment kind; config validation accepts these kinds.

@@ -120,7 +120,8 @@ class BanditConfig:
 
     ``loss_scale`` divides clipped losses so the learner always sees values
     in [0, 1]; None means "use the largest per-entry KL cost over the initial
-    conjecture set", which is only computable in oracle mode.
+    conjecture set", which is only computable in oracle mode, so rollout
+    mode requires an explicit scale.
 
     Defaults are tuned for deterministic (oracle) per-arm losses, where an
     aggressive learning rate and a thin exploration floor concentrate fast;
@@ -153,6 +154,8 @@ class BanditConfig:
             )
         if self.loss_scale is not None and not 0.0 < self.loss_scale < np.inf:
             raise ValueError(f"loss_scale must be positive and finite, got {self.loss_scale}")
+        if self.loss_scale is None and self.loss_estimator == "rollout":
+            raise ValueError("rollout mode requires an explicit loss_scale")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -223,12 +226,10 @@ def resolve_loss_scale(
     """The divisor normalizing losses into [0, 1].
 
     Defaults to the largest per-entry KL cost over the given conjectures;
-    rollout mode has no oracle access, so there the scale must be configured.
+    rollout mode has no oracle access, so its config always sets the scale.
     """
     if cfg.loss_scale is not None:
         return cfg.loss_scale
-    if cfg.loss_estimator == "rollout":
-        raise ValueError("rollout mode requires an explicit loss_scale")
     top = max(float(kl_cost_table(m, q).max()) for q in members)
     if top <= 0.0:
         # every conjecture matches the truth exactly; any positive scale works

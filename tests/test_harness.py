@@ -41,6 +41,25 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def run_and_report(tmp_path, capsys, config):
+    """``berknash run`` on ``config``, then ``berknash report`` on its directory.
+
+    The report must list the manifest's artifacts and then print the run's
+    ``summary.txt`` verbatim. Returns the run directory and the summary text.
+    """
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({**config, "output_dir": str(out_dir)}))
+    assert cli_main(["run", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["report", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    summary = (out_dir / "summary.txt").read_text(encoding="utf-8")
+    artifacts = json.loads((out_dir / "manifest.json").read_text())["artifacts"]
+    listing = "".join(f"  {name}: {fname}\n" for name, fname in artifacts.items())
+    assert out.split("\n", 2)[2] == listing + summary
+    return out_dir, summary
+
+
 INLINE_MDP = {
     "kernel": [[[0.5, 0.5], [0.9, 0.1]], [[0.3, 0.7], [0.5, 0.5]]],
     "rewards": [[1.0, 0.0], [0.5, 2.0]],
@@ -203,7 +222,7 @@ class TestRunExperiment:
         assert manifest["seed"] == 11
         assert manifest["config"]["bandit"]["horizon"] == 300
         written = sorted(p.name for p in artifacts.output_dir.iterdir())
-        assert written == ["frequencies.csv", "loss_trace.csv", "manifest.json"]
+        assert written == ["frequencies.csv", "loss_trace.csv", "manifest.json", "summary.txt"]
 
     def test_case_study_frequencies_normalized_any_seed(self, tmp_path):
         cfg = config_from_dict({
@@ -363,18 +382,15 @@ class TestRunExperiment:
     def test_report_prints_escaped_labels_on_one_line(self, tmp_path, capsys):
         m, _ = benchmark3()
         labels = ["a\rb", "c\\rd", "g\nh", "été"]
-        cfg = self._cfg(tmp_path, "case-study", {
-            "bandit": {"horizon": 20},
+        _, summary = run_and_report(tmp_path, capsys, {
+            "experiment": "case-study", "bandit": {"horizon": 20},
             "conjectures": {"kernels": [{"kernel": m.kernel.tolist(), "label": label}
                                         for label in labels]},
         })
-        artifacts = run_experiment(cfg)
-        capsys.readouterr()
-        assert cli_main(["report", str(artifacts.output_dir)]) == 0
-        arm_lines = [line for line in capsys.readouterr().out.splitlines()
-                     if line.startswith("    arm ")]
-        shown = [re.fullmatch(r"    arm \d \((.*)\): frequency [0-9.]+", line)[1]
-                 for line in arm_lines]
+        lines = summary.splitlines()
+        assert len(lines) == 5  # one per arm, then the oracle-loss gap
+        shown = [re.fullmatch(r"arm \d \((.*)\): frequency [0-9.]+", line)[1]
+                 for line in lines[:4]]
         assert shown == ["a\\rb", "c\\\\rd", "g\\nh", "été"]
 
     def test_zooming_without_zoom_event_writes_header_only(self, tmp_path):
@@ -532,71 +548,42 @@ class TestCLI:
         assert "3 states" in capsys.readouterr().out
 
     def test_report_duality_audit_prints_worst_gaps(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        out_dir = tmp_path / "audit"
-        cfg_path.write_text(json.dumps({
-            "experiment": "duality-audit",
-            "output_dir": str(out_dir),
-        }))
-        assert cli_main(["run", str(cfg_path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["report", str(out_dir)]) == 0
-        out = capsys.readouterr().out
+        out_dir, summary = run_and_report(tmp_path, capsys, {"experiment": "duality-audit"})
         rows = read_csv(out_dir / "duality.csv")
         for title, column in (("max primal gap", "primal_gap"), ("max dual gap", "dual_gap"),
                               ("max slack abuse", "max_slackness_violation")):
             worst = max(float(r[column]) for r in rows)
-            assert re.search(rf"{title}: +{re.escape(f'{worst:.3e}')}", out)
+            assert re.search(rf"^{title}: +{re.escape(f'{worst:.3e}')}$", summary, re.M)
 
     def test_report_zooming_prints_median_of_last_tenth(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        out_dir = tmp_path / "zoom"
-        cfg_path.write_text(json.dumps({
-            "experiment": "zooming",
-            "output_dir": str(out_dir),
-            "bandit": {"horizon": 200},
-            "zoom": {"zoom_interval": 50},
-        }))
-        assert cli_main(["run", str(cfg_path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["report", str(out_dir)]) == 0
-        out = capsys.readouterr().out
+        out_dir, summary = run_and_report(tmp_path, capsys, {
+            "experiment": "zooming", "bandit": {"horizon": 200}, "zoom": {"zoom_interval": 50},
+        })
+        final = sorted(float(r["param"]) for r in read_csv(out_dir / "final_set.csv"))
+        assert f"final params: {[round(p, 6) for p in final]}\n" in summary
         params = [float(r["param"]) for r in read_csv(out_dir / "param_trace.csv")]
         tail = params[-(len(params) // 10):]
-        assert f"    median selected param, last 10%: {np.median(tail):.6g}\n" in out
+        assert f"median selected param, last 10%: {np.median(tail):.6g}\n" in summary
 
     def test_report_case_study_prints_oracle_loss_gap(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        out_dir = tmp_path / "case"
-        cfg_path.write_text(json.dumps({
-            "experiment": "case-study", "output_dir": str(out_dir), "bandit": {"horizon": 30},
-        }))
-        assert cli_main(["run", str(cfg_path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["report", str(out_dir)]) == 0
-        out = capsys.readouterr().out
+        out_dir, summary = run_and_report(tmp_path, capsys, {
+            "experiment": "case-study", "bandit": {"horizon": 30},
+        })
         losses = sorted(float(r["oracle_loss"]) for r in read_csv(out_dir / "frequencies.csv"))
         gap = losses[1] - losses[0]
-        assert f"    oracle-loss gap, best to second-best arm: {gap:.6g}\n" in out
+        assert f"oracle-loss gap, best to second-best arm: {gap:.6g}\n" in summary
         assert f"{gap:.6g}" == "0.198724"
 
     def test_report_lambda_sweep_prints_entropy_bonus_at_grid_ends(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        out_dir = tmp_path / "sweep"
-        cfg_path.write_text(json.dumps({
-            "experiment": "lambda-sweep", "output_dir": str(out_dir),
-            "lambda_grid": {"points": 3},
-        }))
-        assert cli_main(["run", str(cfg_path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["report", str(out_dir)]) == 0
-        out = capsys.readouterr().out
+        out_dir, summary = run_and_report(tmp_path, capsys, {
+            "experiment": "lambda-sweep", "lambda_grid": {"points": 3},
+        })
         rows = read_csv(out_dir / "sweep.csv")
         m, _ = benchmark3()
         for lam in (1e-4, 1e4):
             bonus = max(float(r["v_soft"]) - float(r["v_reward"])
                         for r in rows if float(r["lambda"]) == lam)
-            assert f"    lambda {lam:g}: max entropy bonus over states {bonus:.9g}\n" in out
+            assert f"lambda {lam:g}: max entropy bonus over states {bonus:.9g}\n" in summary
             # at most lam * log A / (1 - beta), reached where the policy is uniform
             bound = lam * math.log(m.num_actions) / (1.0 - m.discount)
             assert 0.0 <= bonus <= bound * (1 + 1e-12)
@@ -654,23 +641,18 @@ class TestCLI:
     def test_report_equilibria_prints_accepted_models(self, tmp_path, capsys):
         m, _ = benchmark3()
         noisy = 0.8 * m.kernel + 0.2 / 3
-        cfg_path = tmp_path / "cfg.json"
-        out_dir = tmp_path / "eq"
-        cfg_path.write_text(json.dumps({
-            "experiment": "equilibrium-report", "output_dir": str(out_dir),
+        out_dir, summary = run_and_report(tmp_path, capsys, {
+            "experiment": "equilibrium-report",
             "conjectures": {"kernels": [{"kernel": noisy.tolist(), "label": "g\nh"},
                                         {"kernel": m.kernel.tolist(), "label": "a\rb"}]},
-        }))
-        assert cli_main(["run", str(cfg_path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["report", str(out_dir)]) == 0
-        out = capsys.readouterr().out
+        })
         rows = read_csv(out_dir / "equilibria.csv")
         margins = {r["mode"]: float(r["kl_margin"]) for r in rows if r["accepted"] == "true"}
         assert set(margins) == {"hard", "soft"}
+        assert len(summary.splitlines()) == 4  # the escaped label splits no line
         for mode, margin in margins.items():
-            assert (f"    {mode}: 1 accepted\n"
-                    f"      model 1 (a\\rb): kl_margin {margin:.6g}\n") in out
+            assert (f"mode={mode}: 1 equilibrium(ia)\n"
+                    f"  model 1 (a\\rb), kl_margin={margin:.6g}, divergence=") in summary
 
     @pytest.mark.parametrize(
         "text, field",
@@ -786,6 +768,18 @@ class TestCLI:
              "lambda_grid.min: must lie in the supported range"),
             (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"max": 1.7e308}}),
              "lambda_grid.max: must lie in the supported range"),
+            (json.dumps({"experiment": "case-study", "conjectures": {"kernels": []}}),
+             "conjectures.kernels: conjecture set must be nonempty"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"], "label": "a"},
+                            {"kernel": INLINE_MDP["kernel"], "label": "a"}]}}),
+             "conjectures.kernels: conjecture labels must be unique"),
+            (json.dumps({"experiment": "case-study", "mdp": INLINE_MDP, "conjectures": {
+                "kernels": [{"kernel": INLINE_MDP["kernel"]},
+                            {"kernel": INLINE_MDP["kernel"], "label": "model-0"}]}}),
+             "conjectures.kernels: conjecture labels must be unique"),
+            (json.dumps({"experiment": "case-study", "bandit": {"loss_estimator": "rollout"}}),
+             "bandit: rollout mode requires an explicit loss_scale"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -801,7 +795,8 @@ class TestCLI:
              "conjectures-typo", "mdp-typo", "negative-seed", "zoom-bounds-above-one",
              "zoom-bounds-unreached", "kernel-item-missing-kernel", "horizon-2**32",
              "temperature-subnormal", "temperature-huge", "lambda-min-subnormal",
-             "lambda-max-huge"],
+             "lambda-max-huge", "kernels-empty", "kernels-same-label",
+             "kernels-default-label-taken", "rollout-no-loss-scale"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
@@ -883,55 +878,36 @@ class TestCLI:
         assert "config error" in err
         assert str(manifest) in err
 
-    @pytest.mark.parametrize(
-        "experiment, artifacts, csv_text, named",
-        [
-            ("case-study", ["frequencies.csv"], None, ("manifest.json", "artifacts")),
-            ("case-study", {"frequencies": 5}, None, ("manifest.json", "artifacts")),
-            ("duality-audit", {"duality": "duality.csv"},
-             "conjecture,dual_gap,max_slackness_violation\n0,0,0\n",
-             ("duality.csv", "primal_gap")),
-            ("case-study", {"frequencies": "frequencies.csv"},
-             "arm,label,count\n0,eps=0.05,3000\n", ("frequencies.csv", "frequency")),
-            ("zooming", {"final_set": "final_set.csv"}, "arm,param\n0\n",
-             ("final_set.csv", "param")),
-            ("duality-audit", {"duality": "duality.csv"},
-             "conjecture,primal_gap,dual_gap,max_slackness_violation\n",
-             ("duality.csv", "no rows")),
-            ("zooming", {"param_trace": "param_trace.csv"},
-             "t,param,prob,loss,running_mean,set_size\n", ("param_trace.csv", "no rows")),
-            ("equilibrium-report", {"equilibria": "equilibria.csv"},
-             "mode,model_index,label,accepted,tie_states\nhard,0,a,true,0\n",
-             ("equilibria.csv", "kl_margin")),
-            ("equilibrium-report", {"equilibria": "equilibria.csv"},
-             "mode,model_index,label,accepted,kl_margin\nhard,0,a,false,\nhard,1,b,true,\n",
-             ("equilibria.csv", "unreadable kl_margin")),
-            ("equilibrium-report", {"equilibria": "equilibria.csv"},
-             "mode,model_index,label,accepted,kl_margin\n", ("equilibria.csv", "no rows")),
-        ],
-        ids=["artifacts-list", "artifacts-not-names", "duality-no-primal-gap",
-             "frequencies-no-frequency", "final-set-short-row", "duality-no-rows",
-             "param-trace-no-rows", "equilibria-no-kl-margin", "equilibria-blank-margin",
-             "equilibria-no-rows"],
-    )
-    def test_report_mismatched_artifacts(self, tmp_path, capsys, experiment, artifacts,
-                                         csv_text, named):
-        (tmp_path / "manifest.json").write_text(json.dumps({
-            "experiment": experiment, "seed": 11, "versions": {}, "artifacts": artifacts,
+    @pytest.mark.parametrize("artifacts", [["frequencies.csv"], {"frequencies": 5}],
+                             ids=["artifacts-list", "artifacts-not-names"])
+    def test_report_mismatched_artifacts(self, tmp_path, capsys, artifacts):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "experiment": "case-study", "seed": 11, "versions": {}, "artifacts": artifacts,
         }))
-        if csv_text is not None:
-            (tmp_path / named[0]).write_text(csv_text)
         assert cli_main(["report", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
-        assert str(tmp_path / named[0]) in err
-        assert named[1] in err
+        assert f"{manifest}: artifacts" in err
+
+    @pytest.mark.parametrize("bad", ["manifest.json", "summary.txt"])
+    def test_report_not_utf8_names_file(self, tmp_path, capsys, bad):
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "experiment": "case-study", "seed": 11, "versions": {},
+            "artifacts": {"summary": "summary.txt"},
+        }))
+        (tmp_path / "summary.txt").write_text("arm 0 (a): frequency 1.0000\n")
+        (tmp_path / bad).write_bytes(b"\xff")
+        assert cli_main(["report", str(tmp_path)]) == 2
+        assert f"{tmp_path / bad}: not UTF-8 text" in capsys.readouterr().err
 
     def test_report_lists_a_directory_artifact_without_summary(self, tmp_path, capsys):
+        # a listed summary.txt that is missing prints nothing after the listing
         (tmp_path / "duality.csv").mkdir()
         (tmp_path / "manifest.json").write_text(json.dumps({
             "experiment": "duality-audit", "seed": 11, "versions": {},
-            "artifacts": {"duality": "duality.csv"},
+            "artifacts": {"duality": "duality.csv", "summary": "summary.txt"},
         }))
         assert cli_main(["report", str(tmp_path)]) == 0
-        assert "  duality: duality.csv\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.split("\n", 2)[2] == "  duality: duality.csv\n  summary: summary.txt\n"
