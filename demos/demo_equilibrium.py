@@ -2,20 +2,19 @@
 
 Finds one best response per model, shows the divergence vectors that
 decide statistical consistency and the KL margin each model holds over its
-nearest rival, and verifies each hit through the coupled feasibility system
-(subjective flow, true frequencies, policy consistency, KL minimality).
+nearest rival, and re-checks each hit from the pair (k, pi) alone
+(subjective flow, true frequencies, optimality, KL minimality).
 """
 
 import numpy as np
 
 from berknash import (
-    JointCandidate,
+    SoftPlanConfig,
     benchmark3,
     check_joint_feasibility,
     entropy_bn_select,
     enumerate_equilibria,
-    occupation_of_policy,
-    state_action_frequencies,
+    soft_best_response,
 )
 
 m, cs = benchmark3()
@@ -37,25 +36,22 @@ best, objective = entropy_bn_select(m, cs, temperature=0.1)
 print("\nsmooth selection objective per conjecture:", np.round(objective, 6))
 print("argmin:", best, f"({labels[best]})")
 
-# dissect the accepted pair through the feasibility checker
+# dissect the accepted pair (k, pi): the checker derives the occupation
+# measure, the true frequencies and model k's value itself
 entry = enumerate_equilibria(m, cs, mode="soft", temperature=0.1).equilibria[0]
-cand = JointCandidate(
-    model_index=entry.model_index,
-    occupation=occupation_of_policy(m.with_kernel(cs.members[entry.model_index].kernel),
-                                    entry.policy),
-    frequencies=state_action_frequencies(m, entry.policy),
-    policy=entry.policy,
-)
-feas = check_joint_feasibility(m, cs, cand)
-print("\nfeasibility residuals for the accepted pair:")
+k, pi = entry.model_index, entry.policy
+feas = check_joint_feasibility(m, cs, k, pi, temperature=0.1)
+print(f"\nfeasibility residuals for the accepted pair (model {k}):")
 for group, residual in feas.residuals.items():
     print(f"  {group:20s} {residual:.2e}")
 
-# what breaks when the frequencies are tampered with
-d_bad = np.array(cand.frequencies, copy=True)
-d_bad[0, 0] += 0.01
-d_bad /= d_bad.sum()
-broken = check_joint_feasibility(
-    m, cs, JointCandidate(cand.model_index, cand.occupation, d_bad, cand.policy)
-)
-print("\nafter perturbing the frequencies:", broken.failed_groups)
+# a policy that is not optimal for model k: the softmax of a hotter temperature
+hot, _, _ = soft_best_response(m.with_kernel(cs.members[k].kernel), SoftPlanConfig(1.0))
+broken = check_joint_feasibility(m, cs, k, hot, temperature=0.1)
+print(f"\nmodel {k} with the temperature-1 policy fails:", broken.failed_groups,
+      f"(gap {broken.residuals['optimality']:.3g})")
+
+# a model that the data of pi does not favour (nor is pi optimal for it)
+worst = len(cs) - 1
+broken = check_joint_feasibility(m, cs, worst, pi, temperature=0.1)
+print(f"model {worst} with the equilibrium policy fails:", broken.failed_groups)

@@ -55,7 +55,6 @@ from .soft_planning import (
 from .equilibrium import (
     EquilibriumReport,
     FeasibilityReport,
-    JointCandidate,
     bilevel_objective,
     check_joint_feasibility,
     entropy_bn_select,

@@ -8,7 +8,8 @@ Subcommands::
 
 ``report`` lists the artifacts a run's manifest names, then prints the
 run's ``summary.txt`` as written: the lines each pipeline builds in
-:mod:`berknash.harness` from the values it wrote to its CSVs.
+:mod:`berknash.harness` from the values it wrote to its CSVs. Characters
+stdout cannot encode are printed as backslash escapes.
 
 Exit codes: 0 success, 2 config/parse error (a malformed or non-UTF-8 run
 manifest or summary included), 3 validation error, 4 runtime failure.
@@ -82,12 +83,13 @@ def _cmd_report(args) -> int:
         isinstance(fname, str) for fname in artifacts.values()
     ):
         raise ConfigError(f"{manifest_path}: artifacts must map names to file names")
-    print(f"experiment: {manifest['experiment']}  seed: {manifest['seed']}")
-    print(f"versions: {manifest['versions']}")
-    for name, fname in artifacts.items():
-        print(f"  {name}: {fname}")
+    text = (f"experiment: {manifest['experiment']}  seed: {manifest['seed']}\n"
+            f"versions: {manifest['versions']}\n"
+            + "".join(f"  {name}: {fname}\n" for name, fname in artifacts.items()))
     if "summary" in artifacts and (run_dir / artifacts["summary"]).is_file():
-        print(read_text(run_dir / artifacts["summary"]), end="")
+        text += read_text(run_dir / artifacts["summary"])
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), end="")
     return EXIT_OK
 
 

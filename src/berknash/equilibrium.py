@@ -1,12 +1,11 @@
 """Berk-Nash machinery: joint feasibility checking, equilibrium enumeration
 over a finite conjecture set, and the entropy-regularized selection objective.
 
-An equilibrium couples four objects: a model index k, a subjective
-discounted occupation measure under that model, the true stationary
-state-action frequencies of the induced policy, and the policy itself. The
-checker evaluates the four condition groups of that coupled system and
-reports residuals per group; the enumerator finds one best response per
-model and re-verifies every hit.
+An equilibrium is a pair (k, pi): pi is optimal for model k, and k is
+KL-minimal under the true frequencies of pi. The checker takes only that
+pair and derives the rest itself, reporting one residual per condition
+group; the enumerator finds one best response per model and re-checks
+every hit.
 """
 
 from __future__ import annotations
@@ -30,21 +29,11 @@ FEAS_TOL = 1e-7
 
 GROUP_SUBJECTIVE_FLOW = "subjective_flow"
 GROUP_TRUE_FREQUENCY = "true_frequency"
-GROUP_POLICY_CONSISTENCY = "policy_consistency"
+GROUP_OPTIMALITY = "optimality"
 GROUP_KL_MINIMALITY = "kl_minimality"
 # The condition groups in the order every residual report lists them.
 RESIDUAL_GROUPS = (GROUP_SUBJECTIVE_FLOW, GROUP_TRUE_FREQUENCY,
-                   GROUP_POLICY_CONSISTENCY, GROUP_KL_MINIMALITY)
-
-
-@dataclass(frozen=True)
-class JointCandidate:
-    """A (k, eta, d, pi) tuple to be tested for joint feasibility."""
-
-    model_index: int
-    occupation: np.ndarray
-    frequencies: np.ndarray
-    policy: np.ndarray
+                   GROUP_OPTIMALITY, GROUP_KL_MINIMALITY)
 
 
 @dataclass(frozen=True)
@@ -98,31 +87,30 @@ class EquilibriumReport:
 
 
 def check_joint_feasibility(
-    m: MDPInstance, cs: ConjectureSet, cand: JointCandidate
+    m: MDPInstance, cs: ConjectureSet, k: int, pi: np.ndarray,
+    temperature: float | None = None,
 ) -> FeasibilityReport:
-    """Evaluate the four coupled condition groups at ``cand``.
+    """Re-check the pair (k, pi), in hard mode if ``temperature`` is None.
 
-    Failures are reported, not raised; the report carries the max residual
-    of each group so a failing candidate names its broken condition. A group
-    fails when its residual exceeds FEAS_TOL.
+    All it tests is derived from k and pi: eta, pi's discounted occupation
+    under model k; d, pi's true frequencies; model k's value v; the cost
+    tables. The groups are (i) eta's flow balance and sign, (ii) d's
+    balance, mass and sign, (iii) pi's optimality for model k and (iv) k's
+    KL minimality at d. Failures are reported, not raised: a group fails
+    when its max residual exceeds FEAS_TOL. A reducible true chain raises
+    ReducibleChainError.
     """
-    k = cand.model_index
     if not (0 <= k < len(cs)):
         raise ValueError(f"model index {k} outside conjecture set of size {len(cs)}")
-    eta = np.asarray(cand.occupation, dtype=float)
-    d = np.asarray(cand.frequencies, dtype=float)
-    pi = np.asarray(cand.policy, dtype=float)
-    S, A = m.num_states, m.num_actions
-    for name, arr in (("occupation", eta), ("frequencies", d), ("policy", pi)):
-        if arr.shape != (S, A):
-            raise ValueError(f"{name} must have shape ({S}, {A}), got {arr.shape}")
-    Qk = cs.members[k].kernel
-    beta = m.discount
+    m_k = m.with_kernel(cs.members[k].kernel)
+    pi = np.asarray(pi, dtype=float)
+    eta = occupation_of_policy(m_k, pi)
+    d = state_action_frequencies(m, pi)
 
     residuals: dict[str, float] = {}
 
     # (i) subjective discounted flow under model k, eta >= 0
-    inflow = m.initial_dist + beta * np.einsum("yax,ya->x", Qk, eta)
+    inflow = m.initial_dist + m.discount * np.einsum("yax,ya->x", m_k.kernel, eta)
     flow_res = np.abs(eta.sum(axis=1) - inflow).max()
     neg_res = max(0.0, float(-eta.min()))
     residuals[GROUP_SUBJECTIVE_FLOW] = float(max(flow_res, neg_res))
@@ -133,13 +121,17 @@ def check_joint_feasibility(
     neg_res = max(0.0, float(-d.min()))
     residuals[GROUP_TRUE_FREQUENCY] = float(max(norm_res, balance, neg_res))
 
-    # (iii) one policy governs both flows (checked on positive marginals only)
-    policy_res = 0.0
-    for mass in (eta, d):
-        marg = mass.sum(axis=1)
-        on = marg > FEAS_TOL
-        policy_res = max(policy_res, np.abs(pi[on] - mass[on] / marg[on, None]).max(initial=0.0))
-    residuals[GROUP_POLICY_CONSISTENCY] = float(policy_res)
+    # (iii) the LP duality gap per unit of discounted mass: (1-beta)|mu0.v -
+    # r.eta| (hard), with the bonus lambda sum eta log(1/pi) added to r.eta
+    # and the gap over max(1, lambda) (soft; log 0 read as 0)
+    if temperature is None:
+        v, bonus, scale = value_iteration(m_k), 0.0, 1.0
+    else:
+        _, v, _ = soft_best_response(m_k, SoftPlanConfig(temperature=temperature))
+        log_pi = np.log(pi, out=np.zeros_like(pi), where=pi > 0.0)
+        bonus, scale = -temperature * float((eta * log_pi).sum()), max(1.0, temperature)
+    gap = m.initial_dist @ v - float((m.rewards * eta).sum()) - bonus
+    residuals[GROUP_OPTIMALITY] = float((1.0 - m.discount) * abs(gap) / scale)
 
     # (iv) k attains the minimal frequency-weighted KL cost
     divs = divergence_vector(m, cs, d)
@@ -237,8 +229,7 @@ def enumerate_equilibria(
             if divs[k] > divs.min() + FEAS_TOL:
                 reason = f"not KL-minimal: D_k={divs[k]:.6g} vs min {divs.min():.6g}"
             else:
-                cand = JointCandidate(k, occupation_of_policy(m_k, pi), d, pi)
-                feas = check_joint_feasibility(m, cs, cand)
+                feas = check_joint_feasibility(m, cs, k, pi, temperature if mode == "soft" else None)
                 reason = (
                     "equilibrium" if feas.passed else
                     f"feasibility re-check failed: {', '.join(feas.failed_groups)}"

@@ -324,11 +324,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"zoom.bounds: must lie in [0, 1], got {[lo, hi]}")
 
     output_dir = _typed(data.get("output_dir", f"runs/{kind}"), str, "output_dir")
+    output_dir = os.environ.get(ENV_OUTPUT_DIR) or output_dir
+    try:
+        os.fsencode(output_dir)
+    except UnicodeEncodeError as err:
+        raise ConfigError(f"output_dir: the {err.encoding} file system encoding cannot name "
+                          f"{output_dir!r}") from None
     return ExperimentConfig(
         kind=kind,
         instance=instance,
         conjectures=conjectures,
-        output_dir=Path(os.environ.get(ENV_OUTPUT_DIR) or output_dir),
+        output_dir=Path(output_dir),
         seed=seed,
         specs=specs,
         **sections,

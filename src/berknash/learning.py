@@ -31,7 +31,8 @@ from .soft_planning import SoftPlanConfig, soft_best_response
 
 ARM_STREAM = 0
 ROLLOUT_STREAM = 1
-DEDUPE_TOL = 1e-12
+# zoom points closer than this fraction of the bounds' width are float twins
+DEDUPE_REL_TOL = float(np.sqrt(np.finfo(float).eps))
 # Generator.choice's tolerance on the sum of its probabilities
 P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
@@ -502,11 +503,11 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
     Refining every near-optimal arm would grow the set geometrically (rho
     shrinks faster than the alpha band), so resolution is added around the
     center p only. A point of ``np.linspace(max(lo, p - rho), min(hi, p +
-    rho), grid_size)`` joins ``seen`` if it lies more than ``DEDUPE_TOL``
-    from every kept parameter and earlier point in ``seen``, and joins the
-    set if it also lies at least rho/2 from every kept and added arm: closer
-    points add no resolution and would let the set grow without bound. Once
-    rho/2 is below ``DEDUPE_TOL``, that tolerance alone stops the growth.
+    rho), grid_size)`` joins ``seen`` if it lies more than ``DEDUPE_REL_TOL *
+    (hi - lo)`` from every kept parameter and earlier point in ``seen``, and
+    joins the set if it also lies at least rho/2 from every kept and added
+    arm: closer points add no resolution and would let the set grow without
+    bound. Once rho falls below that floor, no point is added at all.
 
     Kept arms carry their weight, count and running mean over; new arms
     start at the median kept weight with the center's running mean as
@@ -533,10 +534,10 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
     if uncertain:
         center = min(uncertain, key=means.__getitem__)
         p, (lo, hi), prior = params[center], zoom_cfg.bounds, means[center]
-        seen = list(kept_params)
+        seen, tol = list(kept_params), DEDUPE_REL_TOL * (hi - lo)
         grid = np.linspace(max(lo, p - rho), min(hi, p + rho), zoom_cfg.grid_size).tolist()
         for point in grid:
-            if all(abs(point - q) > DEDUPE_TOL for q in seen):
+            if all(abs(point - q) > tol for q in seen):
                 seen.append(point)
                 if all(abs(point - q) >= 0.5 * rho for q in kept_params + added):
                     added.append(point)

@@ -16,7 +16,6 @@ import pytest
 from berknash import (
     BanditConfig,
     ConjectureSet,
-    JointCandidate,
     MDPInstance,
     SoftPlanConfig,
     SubjectiveKernel,
@@ -34,7 +33,6 @@ from berknash import (
     long_run_divergence,
     mixture_family,
     mixture_kernel,
-    occupation_of_policy,
     policy_from_occupation,
     run_experiment,
     run_exp3,
@@ -226,7 +224,7 @@ def test_criterion_5_kl_properties():
     _finish(5, "KL properties", start, 5.0, problems)
 
 
-def test_criterion_6_joint_feasibility(bench):
+def test_criterion_6_joint_feasibility(bench, monkeypatch):
     start = time.perf_counter()
     problems = []
     m, cs = bench
@@ -251,46 +249,32 @@ def test_criterion_6_joint_feasibility(bench):
                     problems.append("equilibrium residual above 1e-7")
             if reference is None:
                 e = report.equilibria[0]
-                reference = (
-                    mi,
-                    csi,
-                    JointCandidate(
-                        e.model_index,
-                        occupation_of_policy(
-                            mi.with_kernel(csi.members[e.model_index].kernel), e.policy
-                        ),
-                        state_action_frequencies(mi, e.policy),
-                        e.policy,
-                    ),
-                )
+                reference = (mi, csi, e.model_index, e.policy)
         if problems:
             break
 
-    mi, csi, cand = reference
-    d_bad = np.array(cand.frequencies, copy=True)
-    d_bad[0, 0] += 0.01
-    d_bad /= d_bad.sum()
-    rep = check_joint_feasibility(
-        mi, csi, JointCandidate(cand.model_index, cand.occupation, d_bad, cand.policy)
-    )
-    if rep.passed or "true_frequency" not in rep.failed_groups:
-        problems.append("d-flow perturbation not rejected by condition (ii)")
+    mi, csi, k, pi = reference
+    # the reference is deterministic with two actions, so its flip is a
+    # policy that is not optimal for model k
+    rep = check_joint_feasibility(mi, csi, k, pi[:, ::-1])
+    if rep.passed or "optimality" not in rep.failed_groups:
+        problems.append("non-optimal policy not rejected by condition (iii)")
 
-    worst = int(np.argmax([
-        long_run_divergence(cand.frequencies, kl_cost_table(mi, q)) for q in csi
-    ]))
-    rep = check_joint_feasibility(
-        mi,
-        csi,
-        JointCandidate(
-            worst,
-            occupation_of_policy(mi.with_kernel(csi.members[worst].kernel), cand.policy),
-            cand.frequencies,
-            cand.policy,
-        ),
-    )
+    d = state_action_frequencies(mi, pi)
+    worst = int(np.argmax([long_run_divergence(d, kl_cost_table(mi, q)) for q in csi]))
+    rep = check_joint_feasibility(mi, csi, worst, pi)
     if rep.passed or "kl_minimality" not in rep.failed_groups:
         problems.append("wrong-argmin perturbation not rejected by condition (iv)")
+
+    def perturbed_frequencies(m_, pi_):
+        d_bad = state_action_frequencies(m_, pi_)
+        d_bad[0, 0] += 0.01
+        return d_bad / d_bad.sum()
+
+    monkeypatch.setattr("berknash.equilibrium.state_action_frequencies", perturbed_frequencies)
+    rep = check_joint_feasibility(mi, csi, k, pi)
+    if rep.passed or "true_frequency" not in rep.failed_groups:
+        problems.append("d-flow perturbation not rejected by condition (ii)")
     _finish(6, "joint feasibility <-> equilibrium", start, 60.0, problems)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from berknash import (
     ConjectureSet,
-    JointCandidate,
     MDPInstance,
+    SoftPlanConfig,
     SubjectiveKernel,
     benchmark3,
     bilevel_objective,
@@ -17,25 +17,18 @@ from berknash import (
     mixture_family,
     mixture_kernel,
     occupation_of_policy,
+    soft_best_response,
     state_action_frequencies,
 )
+from berknash import equilibrium
 from berknash.equilibrium import (
     FEAS_TOL,
     GROUP_KL_MINIMALITY,
-    GROUP_POLICY_CONSISTENCY,
+    GROUP_OPTIMALITY,
     GROUP_SUBJECTIVE_FLOW,
     GROUP_TRUE_FREQUENCY,
 )
 from _helpers import action1_family, action1_fixed_points, random_instance
-
-
-def assembled_candidate(m, cs, k, pi):
-    return JointCandidate(
-        model_index=k,
-        occupation=occupation_of_policy(m.with_kernel(cs.members[k].kernel), pi),
-        frequencies=state_action_frequencies(m, pi),
-        policy=pi,
-    )
 
 
 class TestCheckJointFeasibility:
@@ -46,60 +39,72 @@ class TestCheckJointFeasibility:
         entry = report.equilibria[0]
         self.k = entry.model_index
         self.pi = entry.policy
-        self.cand = assembled_candidate(self.m, self.cs, self.k, self.pi)
 
     def test_equilibrium_candidate_passes(self):
-        report = check_joint_feasibility(self.m, self.cs, self.cand)
+        report = check_joint_feasibility(self.m, self.cs, self.k, self.pi)
         assert report.passed
         assert max(report.residuals.values()) <= 1e-7
 
-    def test_perturbed_frequencies_fail_true_flow(self):
-        d = np.array(self.cand.frequencies, copy=True)
-        d[0, 0] += 0.01
-        d /= d.sum()
-        bad = JointCandidate(self.k, self.cand.occupation, d, self.cand.policy)
-        report = check_joint_feasibility(self.m, self.cs, bad)
+    def test_perturbed_frequencies_fail_true_flow(self, monkeypatch):
+        def perturbed(m, pi):
+            d = state_action_frequencies(m, pi)
+            d[0, 0] += 0.01
+            return d / d.sum()
+
+        monkeypatch.setattr(equilibrium, "state_action_frequencies", perturbed)
+        report = check_joint_feasibility(self.m, self.cs, self.k, self.pi)
         assert not report.passed
         assert GROUP_TRUE_FREQUENCY in report.failed_groups
 
     def test_worst_model_fails_kl_minimality(self):
-        worst = len(self.cs) - 1
-        bad = JointCandidate(
-            worst,
-            occupation_of_policy(
-                self.m.with_kernel(self.cs.members[worst].kernel), self.pi
-            ),
-            self.cand.frequencies,
-            self.cand.policy,
-        )
-        report = check_joint_feasibility(self.m, self.cs, bad)
+        report = check_joint_feasibility(self.m, self.cs, len(self.cs) - 1, self.pi)
         assert not report.passed
         assert GROUP_KL_MINIMALITY in report.failed_groups
 
-    def test_perturbed_occupation_fails_subjective_flow(self):
-        eta = np.array(self.cand.occupation, copy=True)
-        eta[1, 1] += 0.05
-        bad = JointCandidate(self.k, eta, self.cand.frequencies, self.cand.policy)
-        report = check_joint_feasibility(self.m, self.cs, bad)
+    def test_perturbed_occupation_fails_subjective_flow(self, monkeypatch):
+        def perturbed(m, pi):
+            eta = occupation_of_policy(m, pi)
+            eta[1, 1] += 0.05
+            return eta
+
+        monkeypatch.setattr(equilibrium, "occupation_of_policy", perturbed)
+        report = check_joint_feasibility(self.m, self.cs, self.k, self.pi)
         assert not report.passed
         assert GROUP_SUBJECTIVE_FLOW in report.failed_groups
 
-    def test_mismatched_policy_fails_consistency(self):
-        pi = np.array(self.cand.policy, copy=True)
-        pi[0] = [0.5, 0.5] if pi[0, 0] in (0.0, 1.0) else [1.0, 0.0]
-        bad = JointCandidate(self.k, self.cand.occupation, self.cand.frequencies, pi)
-        report = check_joint_feasibility(self.m, self.cs, bad)
-        assert not report.passed
-        assert GROUP_POLICY_CONSISTENCY in report.failed_groups
-
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError, match="model index"):
-            check_joint_feasibility(
-                self.m,
-                self.cs,
-                JointCandidate(99, self.cand.occupation, self.cand.frequencies,
-                               self.cand.policy),
-            )
+            check_joint_feasibility(self.m, self.cs, 99, self.pi)
+
+    # model 0's optimality gap per unit of discounted mass for each of its
+    # deterministic policies; only (0, 0, 1), its best response, is optimal
+    @pytest.mark.parametrize("actions, gap", [
+        ((0, 0, 0), 0.02374), ((0, 0, 1), 0.0), ((0, 1, 0), 0.06349), ((0, 1, 1), 0.04553),
+        ((1, 0, 0), 0.05317), ((1, 0, 1), 0.03277), ((1, 1, 0), 0.11843), ((1, 1, 1), 0.28175),
+    ])
+    def test_hard_optimality_of_deterministic_policies(self, actions, gap):
+        pi = np.eye(2)[list(actions)]
+        report = check_joint_feasibility(self.m, self.cs, 0, pi)
+        assert report.residuals[GROUP_OPTIMALITY] == pytest.approx(gap, abs=1e-5)
+        assert (GROUP_OPTIMALITY in report.failed_groups) == (gap > 0.0)
+        if gap == 0.0:
+            assert report.passed and report.residuals[GROUP_OPTIMALITY] <= 1e-15
+
+    @pytest.mark.parametrize("policy_temperature, gap", [(1.0, 0.07188), (0.01, 0.004283)])
+    def test_soft_optimality_of_another_temperature(self, policy_temperature, gap):
+        m0 = self.m.with_kernel(self.cs.members[0].kernel)
+        pi, _, _ = soft_best_response(m0, SoftPlanConfig(temperature=policy_temperature))
+        report = check_joint_feasibility(self.m, self.cs, 0, pi, 0.1)
+        assert report.residuals[GROUP_OPTIMALITY] == pytest.approx(gap, rel=1e-3)
+        assert report.failed_groups == (GROUP_OPTIMALITY,)
+
+    def test_uniform_policy_is_soft_optimal_only_at_high_temperature(self):
+        uniform = np.full((3, 2), 0.5)
+        cold = check_joint_feasibility(self.m, self.cs, 0, uniform, 1e-4)
+        assert cold.residuals[GROUP_OPTIMALITY] == pytest.approx(0.1551, abs=1e-4)
+        assert GROUP_OPTIMALITY in cold.failed_groups
+        hot = check_joint_feasibility(self.m, self.cs, 0, uniform, 1e4)
+        assert hot.passed and hot.residuals[GROUP_OPTIMALITY] <= FEAS_TOL
 
 
 class TestEnumerateEquilibria:
@@ -127,8 +132,11 @@ class TestEnumerateEquilibria:
         m, cs = benchmark3()
         hard = enumerate_equilibria(m, cs, mode="hard")
         soft = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
+        # hard mode ignores a temperature: its re-check certifies hard optimality
+        hard_t = enumerate_equilibria(m, cs, mode="hard", temperature=0.1)
         assert [e.model_index for e in hard.equilibria] == [0]
         assert [e.model_index for e in soft.equilibria] == [0]
+        assert [e.model_index for e in hard_t.equilibria] == [0]
 
     def test_benchmark_hard_margins(self):
         # each model's largest KL margin over greedy policies; only model 0's is positive

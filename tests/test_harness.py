@@ -830,33 +830,61 @@ class TestCLI:
         assert "model 'eps=0.3' at discount 0.99999999: " in err
         assert "(tableau drift)" in err
 
-    def test_run_writes_utf8_under_posix_locale(self, tmp_path):
+    POSIX_LOCALE = {"LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    @staticmethod
+    def _cli(args, env_locale):
+        """``berknash`` in a fresh interpreter under ``env_locale``."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        env.pop("BERKNASH_OUTPUT_DIR", None)
+        return subprocess.run([sys.executable, "-m", "berknash.cli", *map(str, args)],
+                              env={**env, **env_locale}, capture_output=True, timeout=120)
+
+    @staticmethod
+    def _labelled_config():
         m, _ = benchmark3()
-        config = {
+        return {
             "experiment": "case-study",
             "bandit": {"horizon": 30},
             "conjectures": {"kernels": [{"kernel": m.kernel.tolist(), "label": "été"},
                                         {"kernel": m.kernel.tolist(), "label": "q→1"}]},
         }
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-            if p))
-        env.pop("BERKNASH_OUTPUT_DIR", None)
+
+    def test_run_writes_utf8_under_posix_locale(self, tmp_path):
         written = {}
-        for name, env_locale in (
-            ("posix", {"LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
-            ("utf8", {"PYTHONUTF8": "1"}),
-        ):
+        for name, env_locale in (("posix", self.POSIX_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
             out = tmp_path / name
             cfg_path = tmp_path / f"{name}.json"
-            cfg_path.write_text(json.dumps({**config, "output_dir": str(out)}, ensure_ascii=False),
-                                encoding="utf-8")
-            proc = subprocess.run([sys.executable, "-m", "berknash.cli", "run", str(cfg_path)],
-                                  env={**env, **env_locale}, capture_output=True, timeout=120)
+            cfg_path.write_text(json.dumps({**self._labelled_config(), "output_dir": str(out)},
+                                           ensure_ascii=False), encoding="utf-8")
+            proc = self._cli(["run", cfg_path], env_locale)
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
             written[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
         assert written["posix"] == written["utf8"]
         assert "été".encode() in written["posix"]["frequencies.csv"]
+
+    def test_report_escapes_what_an_ascii_stdout_cannot_encode(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self._labelled_config(), "output_dir": str(out)}))
+        assert self._cli(["run", cfg_path], {"PYTHONUTF8": "1"}).returncode == 0
+        proc = self._cli(["report", out], self.POSIX_LOCALE)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stderr == b""
+        shown = proc.stdout.decode("ascii").splitlines()
+        assert shown[-3:-1] == ["arm 0 (\\xe9t\\xe9): frequency 0.5333",
+                                "arm 1 (q\\u21921): frequency 0.4667"]
+
+    def test_output_dir_the_file_system_cannot_encode_names_field(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "case-study",
+                                        "output_dir": str(tmp_path / "réun")}))
+        proc = self._cli(["run", cfg_path], self.POSIX_LOCALE)
+        assert proc.returncode == 2, proc.stderr.decode(errors="replace")
+        assert proc.stderr.startswith(b"config error: output_dir: ")
+        assert not (tmp_path / "réun").exists()
 
     def test_config_not_utf8_names_file(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"

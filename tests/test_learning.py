@@ -657,15 +657,16 @@ class TestRunZoomExp3:
     # never-pulled final arms) of seed-11 runs from the six-point initial grid:
     # the default zooming pipeline; a schedule whose delta0 = 0.2 at
     # uncertainty_scale 0.5 prunes arms as converged after 7 pulls; and the
-    # default schedule run on to where rho/2 falls below DEDUPE_TOL (t >= 3600),
-    # after which that tolerance alone keeps the set from growing.
+    # default schedule run on to t = 8000. In the last two, rho falls below
+    # the resolution floor DEDUPE_REL_TOL * (hi - lo) = 7.45e-9 (from t = 360
+    # and t = 2400), after which no point is added and the set only shrinks.
     @pytest.mark.parametrize(
         "horizon, zoom, expected",
         [
             (1500, {}, (15, 9, 0, 16, 13, 1)),
             (600, {"zoom_interval": 15, "alpha0": 0.3, "delta0": 0.2, "uncertainty_scale": 0.5},
-             (40, 6, 56, 70, 14, 0)),
-            (8000, {}, (80, 20, 0, 36, 22, 0)),
+             (40, 6, 43, 44, 1, 0)),
+            (8000, {}, (80, 20, 0, 23, 9, 0)),
         ],
         ids=["default", "converged-prunes", "tiny-rho"],
     )
@@ -685,6 +686,18 @@ class TestRunZoomExp3:
         for ev in rec.events:
             assert len(ev.kept) + len(ev.pruned) == sizes[ev.t - 1]
             assert len(ev.kept) + len(ev.added) == sizes[ev.t]
+
+    def test_final_arms_lie_apart_by_the_resolution_floor(self):
+        # long after rho/2 has fallen below float resolution of the bounds, no
+        # two arms are twins nearer than sqrt(eps) * (hi - lo)
+        m, family = self._setup()
+        zoom = ZoomConfig()
+        rec = run_zoom_exp3(
+            m, family, list(np.linspace(0, 0.5, 6)), BanditConfig(horizon=8000, rng_seed=11),
+            zoom, SoftPlanConfig(temperature=0.1),
+        )
+        lo, hi = zoom.bounds
+        assert np.diff(np.sort(rec.final_params)).min() > math.sqrt(np.finfo(float).eps) * (hi - lo)
 
     def test_empty_initial_set_rejected(self):
         m, family = self._setup()
