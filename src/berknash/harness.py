@@ -325,6 +325,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     output_dir = _typed(data.get("output_dir", f"runs/{kind}"), str, "output_dir")
     output_dir = os.environ.get(ENV_OUTPUT_DIR) or output_dir
+    if "\0" in output_dir:
+        raise ConfigError(f"output_dir: a path cannot hold a NUL character, got {output_dir!r}")
     try:
         os.fsencode(output_dir)
     except UnicodeEncodeError as err:

@@ -9,9 +9,12 @@ Randomness discipline: every random draw comes from a generator seeded by
 (seed, round, stream), with stream 0 for arm sampling and stream 1 for
 rollout simulation. Traces are therefore bit-reproducible and independent
 of caching or evaluation order. The stream-0 draws do not depend on the
-weights, so they are computed for all rounds in one batch before the loop
-(:func:`_arm_uniforms`); they are the same numbers that per-round
-generators would give.
+weights, so they are computed ``ARM_BLOCK`` rounds at a time as the loop
+reaches them (:func:`_arm_uniforms`); they are the same numbers that
+per-round generators would give.
+
+The loop also owns the arm table: each arm's conjecture, softmax best
+response and oracle loss are computed on first use and cached by key.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .soft_planning import SoftPlanConfig, soft_best_response
 
 ARM_STREAM = 0
 ROLLOUT_STREAM = 1
+# rounds whose arm draws are computed together, so memory stays flat in the horizon
+ARM_BLOCK = 4096
 # zoom points closer than this fraction of the bounds' width are float twins
 DEDUPE_REL_TOL = float(np.sqrt(np.finfo(float).eps))
 # Generator.choice's tolerance on the sum of its probabilities
@@ -47,7 +52,7 @@ def _round_rng(seed: int, t: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(t), stream]))
 
 
-def _arm_uniforms(seed: int, horizon: int) -> list[float]:
+def _arm_uniforms(seed: int, horizon: int):
     """``_round_rng(seed, t, ARM_STREAM).random()`` for t = 1..horizon, bit for bit.
 
     Replays numpy's ``SeedSequence`` entropy mixing into its pool of four
@@ -55,12 +60,11 @@ def _arm_uniforms(seed: int, horizon: int) -> list[float]:
     words, then t, then the stream). The pool's eight output words seed
     PCG64, whose first XSL-RR output is taken with Python integers and
     turned into a double as ``Generator.random`` does. Needs seed >= 0 and
-    horizon < 2**32, so that t is one word.
+    horizon < 2**32, so that t is one word. Lazy: each block of ``ARM_BLOCK``
+    rounds is computed, as a list, when the iteration reaches it.
     """
-    seed, n = int(seed), horizon
+    seed = int(seed)
     words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full(n, w, np.uint32) for w in words]
-    entropy += [np.arange(1, n + 1, dtype=np.uint32), np.full(n, ARM_STREAM, np.uint32)]
 
     def hasher(h, mult):
         def hashmix(v):
@@ -75,31 +79,39 @@ def _arm_uniforms(seed: int, horizon: int) -> list[float]:
         r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return r ^ (r >> 16)
 
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(src))
-    hashmix = hasher(_INIT_B, _MULT_B)
-    # generate_state(4, uint64): eight words, paired little-endian
-    seeds = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8")
+    def block(first):
+        ts = np.arange(first, min(first + ARM_BLOCK, horizon + 1), dtype=np.uint32)
+        n = ts.size
+        entropy = [np.full(n, w, np.uint32) for w in words]
+        entropy += [ts, np.full(n, ARM_STREAM, np.uint32)]
+        hashmix = hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
+                for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(src))
+        hashmix = hasher(_INIT_B, _MULT_B)
+        # generate_state(4, uint64): eight words, paired little-endian
+        seeds = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+        seeds = seeds.astype("<u4").view("<u8")
 
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
-        # seeding steps from state 0, adds the seed and steps again;
-        # random() steps once more and outputs XSL-RR of the state
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        out.append((x >> 11) * 2.0**-53)
-    return out
+        out = []
+        for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
+            # seeding steps from state 0, adds the seed and steps again;
+            # random() steps once more and outputs XSL-RR of the state
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            out.append((x >> 11) * 2.0**-53)
+        return out
+
+    return chain.from_iterable(map(block, range(1, horizon + 1, ARM_BLOCK)))
 
 
 def _draw_arm(p: list[float], u: float) -> int:
@@ -430,20 +442,32 @@ class ZoomRunRecord:
 
 
 def _bandit_loop(
-    m: MDPInstance, keys, arm_for, oracle_for, cfg: BanditConfig, loss_scale: float,
+    m: MDPInstance, family, keys, cfg: BanditConfig, soft_cfg: SoftPlanConfig,
     zoom_cfg: ZoomConfig | None = None,
-) -> ZoomRunRecord:
-    """The exponential-weights loop shared by both learners.
+) -> tuple:
+    """The exponential-weights loop shared by both learners, and its arm table.
 
-    Arms are identified by keys: ``arm_for(key)`` gives the arm's
-    ``(conjecture, policy)`` and ``oracle_for(key)`` its oracle loss. Each
-    round samples an arm, takes its loss (the oracle's, or a rollout of its
-    policy), updates its count, running mean and weight, and records the
-    round. With a ``zoom_cfg``, every ``zoom_interval`` rounds the arm set is
-    rebuilt by :func:`_zoom_step`. The per-arm state is kept in Python lists,
-    since a round touches only a handful of entries.
+    Arms are identified by keys. ``arm_for(key)`` gives the conjecture
+    ``family(key)`` and its softmax best response, ``oracle_for(key)`` the
+    arm's oracle loss; both are cached on first use, and the loss scale is
+    resolved over the initial arms. Each round samples an arm, takes its
+    loss (the oracle's, or a rollout of its policy), updates its count,
+    running mean and weight, and records the round. With a ``zoom_cfg``,
+    every ``zoom_interval`` rounds the arm set is rebuilt by
+    :func:`_zoom_step`. The per-arm state is kept in Python lists, since a
+    round touches only a handful of entries. Returns ``(oracle_for, record)``.
     """
+    @cache
+    def arm_for(key):  # (conjecture, policy)
+        q = family(key)
+        return q, soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0]
+
+    @cache
+    def oracle_for(key):
+        return oracle_loss(m, *arm_for(key), loss_scale)
+
     keys = list(keys)
+    loss_scale = resolve_loss_scale(m, [arm_for(k)[0] for k in keys], cfg)
     weights, counts, means = [1.0] * len(keys), [0] * len(keys), [0.0] * len(keys)
     rounds: list[tuple] = []  # (key, prob, loss, set size)
     events: list[ZoomEvent] = []
@@ -471,7 +495,7 @@ def _bandit_loop(
             events.append(event)
 
     pulled, probs, losses, set_sizes = zip(*rounds)
-    return ZoomRunRecord(
+    return oracle_for, ZoomRunRecord(
         loss_scale=loss_scale,
         selected_params=np.array(pulled),
         probs=np.array(probs),
@@ -562,22 +586,18 @@ def run_exp3(
     """Exponential-weights model selection over a fixed conjecture set.
 
     Arms are keyed by member index (tabular conjectures carry no param).
-    The per-arm softmax best responses and oracle losses are deterministic,
-    so they are computed once upfront; the oracle losses also serve as the
-    regret reference in rollout mode.
+    Every member's oracle loss serves as the regret reference, also in
+    rollout mode.
     """
-    loss_scale = resolve_loss_scale(m, cs.members, cfg)
-    policies = [soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0] for q in cs]
-    oracle = np.array([oracle_loss(m, q, pi, loss_scale) for q, pi in zip(cs, policies)])
-    run = _bandit_loop(m, range(len(cs)), lambda k: (cs.members[k], policies[k]),
-                       lambda k: float(oracle[k]), cfg, loss_scale)
+    oracle_for, run = _bandit_loop(m, cs.members.__getitem__, range(len(cs)), cfg, soft_cfg)
+    oracle = np.array([oracle_for(k) for k in range(len(cs))])
 
     arms = run.selected_params
     steps = np.arange(1, cfg.horizon + 1)
     return Exp3RunRecord(
         labels=tuple(q.label for q in cs),
         params=tuple(q.param for q in cs),
-        loss_scale=loss_scale,
+        loss_scale=run.loss_scale,
         oracle_losses=oracle,
         arms=arms,
         probs=run.probs,
@@ -603,9 +623,9 @@ def run_zoom_exp3(
     set is pruned by running mean and uncertainty, then a finer local grid is
     added around the best arm that is still uncertain enough to refine (see
     :func:`_zoom_step`). The incumbent always survives and never-pulled arms
-    are left untouched, so the set is never empty. An added arm's kernel and
-    best response are computed on its first pull, so arms pruned unpulled
-    cost no planning.
+    are left untouched, so the set is never empty. The initial arms are
+    planned before the first round; an added arm is planned by the loop's
+    arm table on its first pull, so arms pruned unpulled cost no planning.
 
     Arm p's oracle loss is its own-data KL cost (see
     :func:`~berknash.equilibrium.bilevel_objective`) up to scale, so the run
@@ -620,15 +640,4 @@ def run_zoom_exp3(
     params = [float(p) for p in initial_params]
     if not params:
         raise ValueError("initial conjecture set must be nonempty")
-
-    @cache
-    def arm_for(p):  # (conjecture, policy)
-        q = family(p)
-        return q, soft_best_response(m.with_kernel(q.kernel), soft_cfg)[0]
-
-    @cache
-    def oracle_for(p):
-        return oracle_loss(m, *arm_for(p), loss_scale)
-
-    loss_scale = resolve_loss_scale(m, [arm_for(p)[0] for p in params], cfg)
-    return _bandit_loop(m, params, arm_for, oracle_for, cfg, loss_scale, zoom_cfg)
+    return _bandit_loop(m, family, params, cfg, soft_cfg, zoom_cfg)[1]

@@ -780,6 +780,8 @@ class TestCLI:
              "conjectures.kernels: conjecture labels must be unique"),
             (json.dumps({"experiment": "case-study", "bandit": {"loss_estimator": "rollout"}}),
              "bandit: rollout mode requires an explicit loss_scale"),
+            (json.dumps({"experiment": "case-study", "output_dir": "runs/a\u0000b"}),
+             "output_dir: a path cannot hold a NUL character"),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -796,7 +798,7 @@ class TestCLI:
              "zoom-bounds-unreached", "kernel-item-missing-kernel", "horizon-2**32",
              "temperature-subnormal", "temperature-huge", "lambda-min-subnormal",
              "lambda-max-huge", "kernels-empty", "kernels-same-label",
-             "kernels-default-label-taken", "rollout-no-loss-scale"],
+             "kernels-default-label-taken", "rollout-no-loss-scale", "output-dir-nul"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from berknash import (
     sampling_distribution,
     soft_best_response,
 )
+from berknash import learning
 from berknash.learning import (
+    ARM_BLOCK,
     ROLLOUT_STREAM,
     _arm_uniforms,
     _draw_arm,
@@ -327,9 +330,22 @@ ARM_SEEDS = [0, 5, 11, 2**32 - 1, 2**32, 2**40, 2**64 + 5, 2**96 + 7, 2**130 + 3
 @pytest.mark.parametrize("seed", ARM_SEEDS)
 def test_arm_uniforms_match_per_round_generators(seed):
     want = [np.random.default_rng(np.random.SeedSequence([seed, t, 0])).random()
-            for t in range(1, 1501)]
-    assert _arm_uniforms(seed, 1) == want[:1]
-    assert _arm_uniforms(seed, 1500) == want
+            for t in range(1, ARM_BLOCK + 2)]
+    for horizon in (1, 1500, ARM_BLOCK - 1, ARM_BLOCK, ARM_BLOCK + 1):
+        assert list(_arm_uniforms(seed, horizon)) == want[:horizon]
+
+
+def test_arm_uniforms_memory_stays_flat_in_the_horizon():
+    # the draws are computed ARM_BLOCK rounds at a time, so consuming three
+    # blocks never holds more than one block's arrays and integers
+    tracemalloc.start()
+    try:
+        for _ in _arm_uniforms(11, 3 * ARM_BLOCK):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_draw_arm_matches_generator_choice():
@@ -403,6 +419,18 @@ class TestExp3Update:
         assert np.all(weights > 0.0)
 
 
+def count_planning(monkeypatch):
+    """Record the kernel of every soft best response the learners compute."""
+    planned = []
+
+    def counting(m, soft_cfg):
+        planned.append(m.kernel)
+        return soft_best_response(m, soft_cfg)
+
+    monkeypatch.setattr(learning, "soft_best_response", counting)
+    return planned
+
+
 class TestRunExp3:
     def test_single_arm_always_selected(self):
         m, cs = two_cycle_instance()
@@ -437,6 +465,12 @@ class TestRunExp3:
         expected = np.cumsum(rec.oracle_losses[rec.arms]) - 0.0
         np.testing.assert_allclose(rec.regret, expected, atol=1e-12)
         assert np.all(np.diff(rec.regret) >= -1e-12)
+
+    def test_plans_each_member_once(self, monkeypatch):
+        m, cs = benchmark3()
+        planned = count_planning(monkeypatch)
+        run_exp3(m, cs, BanditConfig(), SoftPlanConfig(temperature=0.1))
+        assert len(planned) == len(cs) == 4
 
     def test_counts_sum_to_horizon(self):
         m, cs = benchmark3()
@@ -686,6 +720,19 @@ class TestRunZoomExp3:
         for ev in rec.events:
             assert len(ev.kept) + len(ev.pruned) == sizes[ev.t - 1]
             assert len(ev.kept) + len(ev.added) == sizes[ev.t]
+
+    def test_plans_initial_arms_and_pulled_added_arms_once(self, monkeypatch):
+        # the six initial arms are planned up front; an added arm is planned
+        # on its first pull, so the one added arm never pulled costs nothing
+        m, family = self._setup()
+        initial = np.linspace(0, 0.5, 6).tolist()
+        planned = count_planning(monkeypatch)
+        rec = run_zoom_exp3(m, family, initial, BanditConfig(horizon=1500, rng_seed=11),
+                            ZoomConfig(), SoftPlanConfig(temperature=0.1))
+        added = {p for ev in rec.events for p in ev.added}
+        pulled_added = added & set(rec.selected_params.tolist())
+        assert (len(added), len(pulled_added)) == (16, 15)
+        assert len(planned) == len(initial) + len(pulled_added) == 21
 
     def test_final_arms_lie_apart_by_the_resolution_floor(self):
         # long after rho/2 has fallen below float resolution of the bounds, no
