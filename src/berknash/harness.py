@@ -1,12 +1,12 @@
 """Experiment harness: JSON configs, the frozen benchmark instance, and
-seeded end-to-end pipelines that emit CSV artifacts, a ``summary.txt`` and a
-manifest.
+seeded end-to-end pipelines.
 
-Every pipeline is deterministic given the config and seed; CSV floats are
-written with 17 significant digits so reruns are byte-identical. Each
-pipeline also returns its summary lines, built from the values it just
-wrote: the file ``berknash report`` prints, so no other module reads the
-CSVs back.
+A pipeline is a function of its config alone: it returns its tables, by
+artifact name, and its summary lines, built from those tables.
+:func:`run_experiment` alone names and writes the artifacts: each table as
+``<name>.csv`` (floats at 17 significant digits, so reruns are
+byte-identical), the lines as ``summary.txt``, which ``berknash report``
+prints so no other module reads the CSVs back, and the manifest.
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ def benchmark3() -> tuple[MDPInstance, ConjectureSet]:
     return m, mixture_family(m, BENCHMARK_EPSILONS)
 
 
+# the most temperatures a sweep plans: about 1.4 KB of RSS each, so a run at
+# the cap peaks under 1 GB
+MAX_LAMBDA_POINTS = 5 * 10**5
+
+
 @dataclass(frozen=True)
 class LambdaGridConfig:
     """Log-spaced temperatures of the lambda sweep, planned under one model."""
@@ -92,8 +97,10 @@ class LambdaGridConfig:
     model_index: int = 0
 
     def __post_init__(self):
-        if self.points < 2 or not 0.0 < self.min < self.max < math.inf:
-            raise ValueError("need points >= 2 and 0 < min < max < inf")
+        if not 2 <= self.points <= MAX_LAMBDA_POINTS:
+            raise ValueError(f"points must lie in [2, {MAX_LAMBDA_POINTS}], got {self.points}")
+        if not 0.0 < self.min < self.max < math.inf:
+            raise ValueError("need 0 < min < max < inf")
 
     def values(self) -> np.ndarray:
         return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
@@ -154,8 +161,8 @@ class RunArtifacts:
     csv_paths: dict[str, Path]
 
 
-# a pipeline's artifact paths by name, and the lines of its summary.txt
-_Output = tuple[dict[str, Path], list[str]]
+# a pipeline's tables, each by artifact name as _write_csv's columns, and its summary lines
+_Output = tuple[dict[str, dict], list[str]]
 
 
 _KINDS = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
@@ -427,13 +434,16 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     """Dispatch to the pipeline for ``cfg.kind`` and write its artifact set:
-    the pipeline's CSVs, its summary lines as ``summary.txt``, and the manifest."""
+    each table as ``<name>.csv``, the summary lines as ``summary.txt``, and
+    the manifest."""
     start = time.perf_counter()
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    paths, summary = _PIPELINES[cfg.kind](cfg, out)
-    paths["summary"] = out / "summary.txt"
+    tables, summary = _PIPELINES[cfg.kind](cfg)
+    paths = {name: out / f"{name}.csv" for name in tables} | {"summary": out / "summary.txt"}
+    for name, columns in tables.items():
+        _write_csv(paths[name], columns)
     paths["summary"].write_text("\n".join(summary) + "\n", encoding="utf-8")
 
     manifest_path = out / "manifest.json"
@@ -454,33 +464,31 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(output_dir=out, manifest_path=manifest_path, csv_paths=paths)
 
 
-def _run_case_study(cfg: ExperimentConfig, out: Path) -> _Output:
+def _run_case_study(cfg: ExperimentConfig) -> _Output:
     record = run_exp3(cfg.instance, cfg.conjectures, cfg.bandit, cfg.soft)
     K = len(cfg.conjectures)
     params = ["" if p is None else p for p in record.params]
-    freq_path = out / "frequencies.csv"
-    _write_csv(freq_path, {
+    frequencies = {
         "arm": range(K), "label": record.labels, "param": params,
         "count": np.bincount(record.arms, minlength=K),
         "frequency": record.selection_frequencies, "oracle_loss": record.oracle_losses,
-    })
+    }
     arms = record.arms.tolist()
-    trace_path = out / "loss_trace.csv"
-    _write_csv(trace_path, {
+    loss_trace = {
         "t": range(1, len(arms) + 1), "arm": arms,
         "label": [record.labels[k] for k in arms], "param": [params[k] for k in arms],
         "prob": record.probs, "loss": record.losses,
         "running_mean": record.running_mean, "regret": record.regret,
-    })
+    }
     summary = [f"arm {k} ({_escaped(label)}): frequency {f:.4f}"
                for k, (label, f) in enumerate(zip(record.labels, record.selection_frequencies))]
     if K > 1:
         best, second = sorted(record.oracle_losses.tolist())[:2]
         summary.append(f"oracle-loss gap, best to second-best arm: {second - best:.6g}")
-    return {"frequencies": freq_path, "loss_trace": trace_path}, summary
+    return {"frequencies": frequencies, "loss_trace": loss_trace}, summary
 
 
-def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> _Output:
+def _run_lambda_sweep(cfg: ExperimentConfig) -> _Output:
     member = cfg.conjectures.members[cfg.lambda_grid.model_index]
     m_theta = cfg.instance.with_kernel(member.kernel)
     lams = cfg.lambda_grid.values().tolist()
@@ -491,19 +499,18 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: Path) -> _Output:
     v_rewards = [policy_value(m_theta, pi) for pi in pis]
     # one row per (lambda, state, action), in that nesting order
     S, A, n = cfg.instance.num_states, cfg.instance.num_actions, len(lams)
-    sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path, {
+    sweep = {
         "lambda": np.repeat(lams, S * A), "state": np.tile(np.repeat(np.arange(S), A), n),
         "action": np.tile(np.arange(A), n * S), "pi": np.ravel(pis),
         "v_soft": np.repeat(v_softs, A), "v_reward": np.repeat(v_rewards, A),
-    })
+    }
     summary = [f"lambda {lams[i]:g}: max entropy bonus over states "
                f"{max(s - r for s, r in zip(v_softs[i].tolist(), v_rewards[i].tolist())):.9g}"
                for i in (0, -1)]
-    return {"sweep": sweep_path}, summary
+    return {"sweep": sweep}, summary
 
 
-def _run_zooming(cfg: ExperimentConfig, out: Path) -> _Output:
+def _run_zooming(cfg: ExperimentConfig) -> _Output:
     lo, hi = cfg.zoom.bounds
     initial = np.linspace(lo, hi, cfg.zoom.initial_grid).tolist()
     record = run_zoom_exp3(
@@ -516,40 +523,31 @@ def _run_zooming(cfg: ExperimentConfig, out: Path) -> _Output:
     )
     t = range(1, record.losses.size + 1)
     set_sizes = record.set_sizes.tolist()
-    trace_path = out / "param_trace.csv"
-    _write_csv(trace_path, {
+    param_trace = {
         "t": t, "param": record.selected_params, "prob": record.probs, "loss": record.losses,
         "running_mean": record.running_mean, "set_size": set_sizes,
-    })
-    size_path = out / "set_size.csv"
-    _write_csv(size_path, {"t": t, "num_arms": set_sizes})
-    final_path = out / "final_set.csv"
-    _write_csv(final_path, {
+    }
+    final_set = {
         "param": record.final_params, "mean_loss": record.final_mean_losses,
         "count": record.final_counts, "weight": record.final_weights,
-    })
+    }
     events = record.events
-    events_path = out / "zoom_events.csv"
-    _write_csv(events_path, {
+    zoom_events = {
         "t": [ev.t for ev in events],
         "incumbent_param": [ev.incumbent_param for ev in events],
         "num_kept": [len(ev.kept) for ev in events],
         "num_pruned_suboptimal": [sum(w == "suboptimal" for _, w in ev.pruned) for ev in events],
         "num_pruned_converged": [sum(w == "converged" for _, w in ev.pruned) for ev in events],
         "num_added": [len(ev.added) for ev in events],
-    })
+    }
     tail = record.selected_params[-max(1, len(t) // 10):].tolist()
     summary = [f"final params: {[round(p, 6) for p in sorted(record.final_params)]}",
                f"median selected param, last 10%: {statistics.median(tail):.6g}"]
-    return {
-        "param_trace": trace_path,
-        "set_size": size_path,
-        "final_set": final_path,
-        "zoom_events": events_path,
-    }, summary
+    return {"param_trace": param_trace, "set_size": {"t": t, "num_arms": set_sizes},
+            "final_set": final_set, "zoom_events": zoom_events}, summary
 
 
-def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> _Output:
+def _run_equilibrium_report(cfg: ExperimentConfig) -> _Output:
     eq = cfg.equilibrium
     modes = ("hard", "soft") if eq.mode == "both" else (eq.mode,)
     rows = []  # (mode, diagnostic), one per CSV row
@@ -590,12 +588,10 @@ def _run_equilibrium_report(cfg: ExperimentConfig, out: Path) -> _Output:
         columns[f"res_{group}"] = [
             diag.feasibility.residuals[group] if diag.accepted else "" for _, diag in rows
         ]
-    eq_path = out / "equilibria.csv"
-    _write_csv(eq_path, columns)
-    return {"equilibria": eq_path}, summary
+    return {"equilibria": columns}, summary
 
 
-def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> _Output:
+def _run_duality_audit(cfg: ExperimentConfig) -> _Output:
     primal_obj, vi_sum, dual_obj, vi_mu0, slackness, greedy_ok = [], [], [], [], [], []
     for member in cfg.conjectures:
         m_k = cfg.instance.with_kernel(member.kernel)
@@ -626,19 +622,18 @@ def _run_duality_audit(cfg: ExperimentConfig, out: Path) -> _Output:
         ))
     primal_gap = np.abs(np.subtract(primal_obj, vi_sum)).tolist()
     dual_gap = np.abs(np.subtract(dual_obj, vi_mu0)).tolist()
-    path = out / "duality.csv"
-    _write_csv(path, {
+    duality = {
         "model_index": range(len(cfg.conjectures)),
         "label": [member.label for member in cfg.conjectures],
         "primal_objective": primal_obj, "vi_sum_values": vi_sum,
         "dual_objective": dual_obj, "vi_mu0_weighted": vi_mu0,
         "primal_gap": primal_gap, "dual_gap": dual_gap,
         "max_slackness_violation": slackness, "occupation_policy_greedy": greedy_ok,
-    })
+    }
     summary = [f"max primal gap:  {max(primal_gap):.3e}",
                f"max dual gap:    {max(dual_gap):.3e}",
                f"max slack abuse: {max(slackness):.3e}"]
-    return {"duality": path}, summary
+    return {"duality": duality}, summary
 
 
 # The pipeline of each experiment kind; config validation accepts these kinds.

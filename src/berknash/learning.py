@@ -127,6 +127,11 @@ def _draw_arm(p: list[float], u: float) -> int:
     return bisect_right([c / total for c in cdf], u)
 
 
+# the longest rollout: about 52 bytes of RSS a step, so one call at the cap
+# peaks near 0.56 GB
+MAX_ROLLOUT_HORIZON = 10**7
+
+
 @dataclass(frozen=True)
 class BanditConfig:
     """Knobs for the exponential-weights loop.
@@ -159,8 +164,9 @@ class BanditConfig:
             raise ValueError(f"horizon must lie in [1, 2**32), got {self.horizon}")
         if self.loss_estimator not in ("oracle", "rollout"):
             raise ValueError(f"unknown loss_estimator {self.loss_estimator!r}")
-        if self.rollout_horizon < 1:
-            raise ValueError(f"rollout_horizon must be >= 1, got {self.rollout_horizon}")
+        if not 1 <= self.rollout_horizon <= MAX_ROLLOUT_HORIZON:
+            raise ValueError(f"rollout_horizon must lie in [1, {MAX_ROLLOUT_HORIZON}], "
+                             f"got {self.rollout_horizon}")
         if not 0.0 < self.rollout_smoothing < np.inf:
             raise ValueError(
                 f"rollout_smoothing must be positive and finite, got {self.rollout_smoothing}"
@@ -368,6 +374,12 @@ class ZoomEvent:
     added: tuple
 
 
+# the largest starting grid (about 1.1 KB of RSS an arm) and refinement grid
+# (about 46 bytes a point); a run at either cap peaks under 1 GB
+MAX_INITIAL_GRID = 5 * 10**5
+MAX_GRID_SIZE = 10**7
+
+
 @dataclass(frozen=True)
 class ZoomConfig:
     """Zoom schedule: thresholds and radii decay geometrically per epoch.
@@ -399,10 +411,11 @@ class ZoomConfig:
         for name in ("alpha_decay", "delta_decay", "rho_decay"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        if self.grid_size < 2:
-            raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
-        if self.initial_grid < 1:
-            raise ValueError(f"initial_grid must be >= 1, got {self.initial_grid}")
+        if not 2 <= self.grid_size <= MAX_GRID_SIZE:
+            raise ValueError(f"grid_size must lie in [2, {MAX_GRID_SIZE}], got {self.grid_size}")
+        if not 1 <= self.initial_grid <= MAX_INITIAL_GRID:
+            raise ValueError(f"initial_grid must lie in [1, {MAX_INITIAL_GRID}], "
+                             f"got {self.initial_grid}")
         lo, hi = self.bounds
         if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds}")

@@ -120,7 +120,10 @@ def mixture_kernel(m: MDPInstance, eps: float) -> SubjectiveKernel:
         raise ValueError(f"mixture weight must lie in [0, 1], got {eps}")
     S = m.num_states
     Q = (1.0 - eps) * m.kernel + eps / S
-    return SubjectiveKernel(kernel=Q, label=f"eps={eps:g}", param=float(eps))
+    # the short form where it reads back as eps, so distinct weights never share a label
+    short = f"{eps:g}"
+    label = f"eps={short if float(short) == eps else repr(float(eps))}"
+    return SubjectiveKernel(kernel=Q, label=label, param=float(eps))
 
 
 def mixture_family(m: MDPInstance, eps_values) -> ConjectureSet:

@@ -30,7 +30,7 @@ from berknash import (
     stationary_distribution,
     validate_instance,
 )
-from berknash import harness
+from berknash import harness, learning
 from berknash.cli import main as cli_main
 from berknash.harness import LambdaGridConfig, _fmt, _write_csv
 from berknash.soft_planning import TEMPERATURE_RANGE
@@ -58,6 +58,16 @@ def run_and_report(tmp_path, capsys, config):
     listing = "".join(f"  {name}: {fname}\n" for name, fname in artifacts.items())
     assert out.split("\n", 2)[2] == listing + summary
     return out_dir, summary
+
+
+# the CSV artifacts of each experiment kind, in the order they are written
+PIPELINE_CSVS = {
+    "case-study": ["frequencies", "loss_trace"],
+    "lambda-sweep": ["sweep"],
+    "zooming": ["param_trace", "set_size", "final_set", "zoom_events"],
+    "equilibrium-report": ["equilibria"],
+    "duality-audit": ["duality"],
+}
 
 
 INLINE_MDP = {
@@ -409,7 +419,12 @@ class TestRunExperiment:
     ], ids=["case-study", "lambda-sweep", "zooming", "equilibrium-report", "duality-audit"])
     def test_manifest_config_reloads_to_equal_config(self, tmp_path, kind, extra):
         cfg = self._cfg(tmp_path, kind, extra)
-        echo = json.loads(run_experiment(cfg).manifest_path.read_text())["config"]
+        artifacts = run_experiment(cfg)
+        # each table is written as its CSV, next to summary.txt and the manifest
+        assert list(artifacts.csv_paths) == [*PIPELINE_CSVS[kind], "summary"]
+        assert sorted(p.name for p in artifacts.output_dir.iterdir()) == sorted(
+            [*(f"{stem}.csv" for stem in PIPELINE_CSVS[kind]), "manifest.json", "summary.txt"])
+        echo = json.loads(artifacts.manifest_path.read_text())["config"]
         again = config_from_dict(echo)
         assert again.resolved == echo
         for name in ("kind", "seed", "output_dir", "soft", "bandit", "zoom",
@@ -458,21 +473,25 @@ def _assert_same_bytes(tmp_path, columns):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_write_csv_matches_reference_on_default_pipelines(tmp_path, monkeypatch):
-    captured = []
-
-    def capture(path, columns):
-        captured.append(columns)
-        write_csv(path, columns)
-
-    write_csv = harness._write_csv
-    monkeypatch.setattr(harness, "_write_csv", capture)
-    for kind in harness.EXPERIMENT_KINDS:
-        run_experiment(config_from_dict(
-            {"experiment": kind, "seed": 11, "output_dir": str(tmp_path / kind)}))
-    assert len(captured) == 9
-    for columns in captured:
+def test_write_csv_matches_reference_on_default_pipelines(tmp_path):
+    tables = [columns for kind, pipeline in harness._PIPELINES.items() for columns in
+              pipeline(config_from_dict({"experiment": kind, "seed": 11}))[0].values()]
+    assert len(tables) == 9
+    for columns in tables:
         _assert_same_bytes(tmp_path, columns)
+
+
+def test_pipelines_are_functions_of_the_config(tmp_path, monkeypatch):
+    # a pipeline only computes: it creates no file, not even its output directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
+    assert list(harness._PIPELINES) == list(PIPELINE_CSVS)
+    for kind, pipeline in harness._PIPELINES.items():
+        cfg = config_from_dict({"experiment": kind, "output_dir": str(tmp_path / "absent")})
+        tables, summary = pipeline(cfg)
+        assert list(tables) == PIPELINE_CSVS[kind]
+        assert summary and all(isinstance(line, str) for line in summary)
+        assert list(tmp_path.iterdir()) == [], kind
 
 
 _CELLS = {
@@ -782,6 +801,15 @@ class TestCLI:
              "bandit: rollout mode requires an explicit loss_scale"),
             (json.dumps({"experiment": "case-study", "output_dir": "runs/a\u0000b"}),
              "output_dir: a path cannot hold a NUL character"),
+            (json.dumps({"experiment": "lambda-sweep", "lambda_grid": {"points": 10**12}}),
+             "lambda_grid: points must lie in [2, "),
+            (json.dumps({"experiment": "zooming", "zoom": {"initial_grid": 10**12}}),
+             "zoom: initial_grid must lie in [1, "),
+            (json.dumps({"experiment": "zooming", "zoom": {"grid_size": 10**12}}),
+             "zoom: grid_size must lie in [2, "),
+            (json.dumps({"experiment": "case-study", "bandit": {
+                "loss_estimator": "rollout", "loss_scale": 0.5, "rollout_horizon": 10**12}}),
+             "bandit: rollout_horizon must lie in [1, "),
         ],
         ids=["bad-json", "kernel-shape", "kernels-not-list", "zoom-bounds",
              "lambda-points", "bool-seed", "lambda-typo", "equilibrium-typo",
@@ -798,7 +826,9 @@ class TestCLI:
              "zoom-bounds-unreached", "kernel-item-missing-kernel", "horizon-2**32",
              "temperature-subnormal", "temperature-huge", "lambda-min-subnormal",
              "lambda-max-huge", "kernels-empty", "kernels-same-label",
-             "kernels-default-label-taken", "rollout-no-loss-scale", "output-dir-nul"],
+             "kernels-default-label-taken", "rollout-no-loss-scale", "output-dir-nul",
+             "lambda-points-huge", "initial-grid-huge", "grid-size-huge",
+             "rollout-horizon-huge"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, field):
         monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
@@ -808,6 +838,33 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "config error" in err
         assert field in err
+
+    @pytest.mark.parametrize("section, field, cap", [
+        ("lambda_grid", "points", harness.MAX_LAMBDA_POINTS),
+        ("zoom", "initial_grid", learning.MAX_INITIAL_GRID),
+        ("zoom", "grid_size", learning.MAX_GRID_SIZE),
+        ("bandit", "rollout_horizon", learning.MAX_ROLLOUT_HORIZON),
+    ])
+    def test_size_field_cap_is_its_largest_accepted_value(self, section, field, cap):
+        # both configs are only validated: a run at these sizes would allocate
+        base = {"experiment": "case-study", "bandit": {"loss_scale": 0.5}}
+        cfg = config_from_dict({**base, section: {**base.get(section, {}), field: cap}})
+        assert getattr(getattr(cfg, section), field) == cap
+        with pytest.raises(ConfigError, match=rf"^{section}: {field} must lie in \[\d, {cap}\]"):
+            config_from_dict({**base, section: {**base.get(section, {}), field: cap + 1}})
+
+    def test_distinct_mixture_weights_get_distinct_labels(self, tmp_path, capsys, monkeypatch):
+        # eps:g keeps 6 significant digits, which would read both weights as 0.1
+        monkeypatch.delenv("BERKNASH_OUTPUT_DIR", raising=False)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+        for epsilons, code in (([0.1, 0.1000001], 0), ([0.1, 0.1], 2)):
+            cfg_path.write_text(json.dumps({
+                "experiment": "case-study", "output_dir": str(out),
+                "bandit": {"horizon": 20}, "conjectures": {"epsilons": epsilons}}))
+            assert cli_main(["run", str(cfg_path)]) == code
+        assert "conjecture labels must be unique" in capsys.readouterr().err
+        labels = [row["label"] for row in read_csv(out / "frequencies.csv")]
+        assert labels == ["eps=0.1", "eps=0.1000001"]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -841,8 +898,9 @@ class TestCLI:
             p for p in (str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH"))
             if p))
         env.pop("BERKNASH_OUTPUT_DIR", None)
-        return subprocess.run([sys.executable, "-m", "berknash.cli", *map(str, args)],
-                              env={**env, **env_locale}, capture_output=True, timeout=120)
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "berknash.cli", *map(str, args)],
+            env={**env, **env_locale}, capture_output=True, timeout=120)
 
     @staticmethod
     def _labelled_config():

@@ -42,7 +42,8 @@ def test_pipelines_run_without_scipy(tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(paths), str(tmp_path / "zooming")],
+        [sys.executable, "-W", "error", "-c", SCRIPT, json.dumps(paths),
+         str(tmp_path / "zooming")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
