@@ -127,9 +127,12 @@ def _draw_arm(p: list[float], u: float) -> int:
     return bisect_right([c / total for c in cdf], u)
 
 
-# the longest rollout: about 52 bytes of RSS a step, so one call at the cap
-# peaks near 0.56 GB
+# the longest rollout: about 48 bytes of RSS a step on benchmark3 and 64 on
+# a dense 30-state chain, so one call at the cap peaks near 0.5-0.65 GB
 MAX_ROLLOUT_HORIZON = 10**7
+# rollout steps whose leave masks are built together, so mask memory is S
+# bytes a step of one block, whatever the horizon
+ROLLOUT_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -283,24 +286,37 @@ def rollout_loss(
     Conjecture rows containing zeros are smoothed the same way so the
     plug-in stays finite.
 
-    Each step samples by inverse CDF from pre-drawn uniforms and makes one
-    ``bisect_right``. The actions of all steps are drawn at once: ``cuts``
-    holds every policy cut point (each cumulative row of π without its last
-    entry) in sorted order, and a step's rank r is the number of cuts at or
-    below its action uniform. ``act[x, r]`` is the number of entries of
-    ``cum_pi[x, :-1]`` at or below the r-th smallest cut (r = 0 stands for
-    −inf), which is the action state x draws: no cut lies strictly between
-    the r-th cut and the uniform, so in every state the entries at or below
-    one are those at or below the other. The walk reads
-    ``x = bisect_right(row_at[x][r], u)``, where ``row_at[x][r]`` is the
-    cumulative kernel row of ``(x, act[x, r])`` as a Python list, and
-    records x; one ``np.bincount`` over the recorded path counts the
-    transitions after burn-in. Every kernel row's last entry is replaced by
-    ``inf``, and no policy row's last entry is a cut; since the uniforms are
-    below 1, this clips a draw that lands past a cumulative sum rounded below
-    1 to the last index. Each decision is still one float comparison of an
-    untouched uniform with an untouched cumulative sum, so the estimate is
-    the per-step search's, bit for bit.
+    Each step samples by inverse CDF from pre-drawn uniforms. The actions of
+    all steps are drawn at once: ``cuts`` holds every policy cut point (each
+    cumulative row of π without its last entry) in sorted order, and a
+    step's rank r is the number of cuts at or below its action uniform.
+    ``act[x, r]`` is the number of entries of ``cum_pi[x, :-1]`` at or below
+    the r-th smallest cut (r = 0 stands for −inf), which is the action state
+    x draws: no cut lies strictly between the r-th cut and the uniform, so in
+    every state the entries at or below one are those at or below the other.
+    The next state is ``bisect_right(row_at[x][r], u)``, where
+    ``row_at[x][r]`` is the cumulative kernel row of ``(x, act[x, r])`` as a
+    Python list. Every kernel row's last entry is replaced by ``inf``, and no
+    policy row's last entry is a cut; since the uniforms are below 1, this
+    clips a draw that lands past a cumulative sum rounded below 1 to the
+    last index.
+
+    The walk goes from one state change to the next. The row is sorted, so
+    ``bisect_right`` returns x exactly when ``lo[x, r] <= u < hi[x, r]``,
+    where ``hi`` is entry x of ``row_at[x][r]`` and ``lo`` is entry x − 1
+    (−inf for x = 0): these are the two comparisons the search makes at the
+    boundary of x's interval, on the same untouched floats. Each state's
+    leave mask, a ``bytes`` object, flags the steps that fail this stay
+    test, and ``bytes.find`` jumps to the next step at which the current
+    state is flagged. There the same ``bisect_right`` as in a per-step walk
+    gives the next state. This is exact: a flagged step is resolved by the
+    per-step walk's own search, a falsely flagged step would only hand back
+    x, and a leave cannot go unflagged, because the stay test is made of the
+    search's own comparisons. The masks are built ``ROLLOUT_BLOCK`` steps at
+    a time, so they take S bytes a step of one block. The path is kept as
+    its states in order and a byte per step marking where each is left;
+    ``np.repeat`` expands it and one ``np.bincount`` counts the transitions
+    after burn-in.
     """
     S, A = m.num_states, m.num_actions
     H = cfg.rollout_horizon
@@ -323,13 +339,28 @@ def rollout_loss(
     cum_kernel[:, :, -1] = np.inf
     row_at = [list(chain.from_iterable(map(repeat, rows, runs_x)))
               for rows, runs_x in zip(cum_kernel.tolist(), runs.tolist())]
+    # state x stays at a step of rank r exactly when lo[x, r] <= u < hi[x, r]
+    edges = np.concatenate([np.full((S, A, 1), -np.inf), cum_kernel], axis=2)
+    diag = np.arange(S)
+    lo = np.take_along_axis(edges[diag, :, diag], act, axis=1)
+    hi = np.take_along_axis(edges[diag, :, diag + 1], act, axis=1)
 
-    path = [x]
-    append = path.append
-    for r, uy in zip(ranks.tolist(), memoryview(u[:, 1])):
-        x = bisect_right(row_at[x][r], uy)
-        append(x)
-    xs = np.fromiter(path, np.intp, H + 1)
+    # states is a list, not an array('q'): its entries are the interpreter's
+    # cached small ints, 8 bytes each either way, and list.append is faster
+    states, left = [x], bytearray(H)
+    enter = states.append
+    for first in range(0, H, ROLLOUT_BLOCK):
+        r, v = ranks[first:first + ROLLOUT_BLOCK], u[first:first + ROLLOUT_BLOCK, 1]
+        find = [((v >= hi_x[r]) | (lo_x[r] > v)).tobytes().find for lo_x, hi_x in zip(lo, hi)]
+        r, v, mark = memoryview(r), memoryview(v), bytearray(len(r))
+        t = find[x](1)
+        while t >= 0:
+            x = bisect_right(row_at[x][r[t]], v[t])
+            enter(x)
+            mark[t] = 1
+            t = find[x](1, t + 1)
+        left[first:first + ROLLOUT_BLOCK] = mark
+    xs = np.repeat(states, np.diff(np.flatnonzero(left), prepend=-1, append=H))
     x_t = xs[burn_in:-1]
     a_t = act[x_t, ranks[burn_in:]]
     counts = np.bincount((x_t * A + a_t) * S + xs[burn_in + 1:], minlength=S * A * S)
@@ -546,6 +577,18 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
     arm: closer points add no resolution and would let the set grow without
     bound. Once rho falls below that floor, no point is added at all.
 
+    Each point is compared with its two neighbours among the kept
+    parameters, the last point seen and the last one added, not with every
+    earlier point. This is exact because ``np.linspace`` is monotone (it
+    computes start + k * step, which rounds monotonically in k, and ends at
+    its stop itself), and a rounded difference ``point - q`` is monotone in
+    q. So the nearest earlier point of ``seen`` is the last one seen, the
+    nearest added arm is the last one added, and the nearest kept parameters
+    are the two that enclose the point in sorted order, found by
+    ``bisect``. Each test makes its own comparison (``> tol`` or
+    ``>= rho/2``) on the nearest distance, which decides it, so a step
+    costs O(grid_size log K), not O(grid_size**2).
+
     Kept arms carry their weight, count and running mean over; new arms
     start at the median kept weight with the center's running mean as
     prior. ``weights``, ``counts`` and ``means`` are the loop's lists.
@@ -571,13 +614,17 @@ def _zoom_step(t: int, params: list, weights, counts, means, zoom_cfg: ZoomConfi
     if uncertain:
         center = min(uncertain, key=means.__getitem__)
         p, (lo, hi), prior = params[center], zoom_cfg.bounds, means[center]
-        seen, tol = list(kept_params), DEDUPE_REL_TOL * (hi - lo)
+        tol, near = DEDUPE_REL_TOL * (hi - lo), sorted(kept_params)
+        seen = placed = -math.inf  # the last grid point seen and added
         grid = np.linspace(max(lo, p - rho), min(hi, p + rho), zoom_cfg.grid_size).tolist()
         for point in grid:
-            if all(abs(point - q) > tol for q in seen):
-                seen.append(point)
-                if all(abs(point - q) >= 0.5 * rho for q in kept_params + added):
+            i = bisect_right(near, point)
+            gap = min(abs(point - q) for q in near[max(i - 1, 0):i + 1])
+            if abs(point - seen) > tol and gap > tol:
+                seen = point
+                if abs(point - placed) >= 0.5 * rho and gap >= 0.5 * rho:
                     added.append(point)
+                    placed = point
 
     event = ZoomEvent(t=t, incumbent_param=params[incumbent], kept=tuple(kept_params),
                       pruned=tuple(pruned), added=tuple(added))

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -280,7 +281,9 @@ def test_rollout_loss_clips_and_breaks_ties_like_searchsorted():
 def _rollout_walks(draw):
     """A small instance whose rows come from a pool of two or three per row
     length, with integer weights 0..3: cut points repeat across states, and
-    zero-probability actions and one-hot rows are common. About half of the
+    zero-probability actions and one-hot rows are common. Some kernel rows
+    stay put instead: a self-loop of 0.998, as benchmark3's rows have, or an
+    absorbing one, so that the walk makes long sojourns. About half of the
     uniforms sit exactly on a cut point below 1."""
     S, A, H = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 60))
 
@@ -294,6 +297,11 @@ def _rollout_walks(draw):
             st.lists(st.integers(0, len(choices) - 1), min_size=count, max_size=count))])
 
     kernel = rows(S, S * A).reshape(S, A, S)
+    for x, a in np.ndindex(S, A):
+        stay = draw(st.sampled_from([None, None, 0.998, 1.0]))
+        if stay is not None:
+            kernel[x, a] = np.full(S, (1.0 - stay) / max(S - 1, 1))
+            kernel[x, a, x] = stay if S > 1 else 1.0
     m = MDPInstance(kernel=kernel, rewards=np.zeros((S, A)), discount=0.9,
                     initial_dist=rows(S, 1)[0])
     q = SubjectiveKernel(kernel=rows(S, S * A).reshape(S, A, S), label="q")
@@ -320,6 +328,39 @@ def test_rollout_loss_matches_reference_on_shared_cuts(case):
     cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=len(u), loss_scale=1e3)
     got = rollout_loss(m, q, pi, cfg, 1e3, _FixedUniforms(u))
     assert got == _rollout_loss_reference(m, q, pi, cfg, 1e3, _FixedUniforms(u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rollout_walks(), st.integers(1, 8))
+def test_rollout_loss_matches_reference_across_blocks(case, block):
+    # blocks of 1..8 steps, so that sojourns and leaves fall on every block
+    # boundary of a horizon up to 60
+    m, q, pi, u = case
+    cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=len(u), loss_scale=1e3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "ROLLOUT_BLOCK", block)
+        got = rollout_loss(m, q, pi, cfg, 1e3, _FixedUniforms(u))
+    assert got == _rollout_loss_reference(m, q, pi, cfg, 1e3, _FixedUniforms(u))
+
+
+def test_rollout_memory_stays_flat_in_the_horizon():
+    # the leave masks take S bytes a step of one block: over three blocks a
+    # dense 30-state chain peaks near 63 bytes a step, where masks held over
+    # the whole horizon would add 30
+    rng = np.random.default_rng(30)
+    S, A = 30, 4
+    m = MDPInstance(kernel=rng.dirichlet(np.ones(S), size=(S, A)), rewards=np.zeros((S, A)),
+                    discount=0.9, initial_dist=np.full(S, 1 / S))
+    q = SubjectiveKernel(kernel=rng.dirichlet(np.ones(S), size=(S, A)), label="q")
+    H = 3 * learning.ROLLOUT_BLOCK + 1000
+    cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=H, loss_scale=1.0)
+    tracemalloc.start()
+    try:
+        rollout_loss(m, q, rng.dirichlet(np.ones(A), size=S), cfg, 1.0, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 75 * H
 
 
 # one to five 32-bit words, so the entropy is shorter than, as long as and
@@ -588,6 +629,50 @@ class TestRefine:
             radius = float(rng.uniform(0.01, 0.3))
             ev = zoom_once([center], [4], [0.1], rho0=radius, grid_size=5, bounds=(0.0, 0.5))
             assert ev.added and all(0.0 <= p <= 0.5 for p in ev.added)
+
+    @staticmethod
+    def _added_reference(kept, center, rho, grid_size, bounds):
+        """The refinement rule as stated: each point against every kept
+        parameter and every earlier point seen or added."""
+        lo, hi = bounds
+        seen, added, tol = list(kept), [], learning.DEDUPE_REL_TOL * (hi - lo)
+        grid = np.linspace(max(lo, center - rho), min(hi, center + rho), grid_size).tolist()
+        for point in grid:
+            if all(abs(point - q) > tol for q in seen):
+                seen.append(point)
+                if all(abs(point - q) >= 0.5 * rho for q in kept + added):
+                    added.append(point)
+        return added
+
+    def test_matches_comparisons_with_every_earlier_point(self):
+        # kept arms on grid points, within the dedupe tolerance of them and
+        # anywhere; radii down to below the tolerance; centers outside the
+        # bounds, where the grid runs downwards
+        rng = np.random.default_rng(22)
+        for _ in range(400):
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2)).tolist()
+            center = float(rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo)))
+            rho = (hi - lo) * 10.0 ** -rng.uniform(0.0, 10.0)
+            grid_size = int(rng.integers(2, 40))
+            grid = np.linspace(max(lo, center - rho), min(hi, center + rho), grid_size)
+            tol = learning.DEDUPE_REL_TOL * (hi - lo)
+            kept = [center]
+            for _ in range(int(rng.integers(0, 6))):
+                near = float(rng.choice(grid)) + tol * float(rng.choice([0.0, -1.0, 0.5, 1.0, 2.0]))
+                kept.append(near if rng.random() < 0.7 else float(rng.uniform(lo, hi)))
+            counts, means = [4] * len(kept), [0.05] + [0.1] * (len(kept) - 1)
+            ev = zoom_once(kept, counts, means, rho0=rho, grid_size=grid_size, bounds=(lo, hi))
+            assert list(ev.added) == self._added_reference(kept, center, rho, grid_size, (lo, hi))
+
+    def test_large_grid_is_refined_in_sorted_order(self):
+        # each of 2 * 10**4 points is compared with four others; comparing it
+        # with every earlier point takes 12-16 s
+        start = time.perf_counter()
+        ev = zoom_once([0.1, 0.3], [4, 4], [0.1, 0.12], rho0=0.1, grid_size=20_000,
+                       bounds=(0.0, 0.5))
+        assert time.perf_counter() - start < 1.0
+        # 0.0, then the first point at least rho/2 from it and from 0.1
+        np.testing.assert_allclose(ev.added, [0.0, 0.15], atol=1e-4)
 
 
 class TestRunZoomExp3:
