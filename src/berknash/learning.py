@@ -14,7 +14,8 @@ reaches them (:func:`_arm_uniforms`); they are the same numbers that
 per-round generators would give.
 
 The loop also owns the arm table: each arm's conjecture, softmax best
-response and oracle loss are computed on first use and cached by key.
+response, oracle loss and rollout walk tables are computed on first use and
+cached by key.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -127,11 +128,12 @@ def _draw_arm(p: list[float], u: float) -> int:
     return bisect_right([c / total for c in cdf], u)
 
 
-# the longest rollout: about 48 bytes of RSS a step on benchmark3 and 64 on
-# a dense 30-state chain, so one call at the cap peaks near 0.5-0.65 GB
+# the longest rollout: about 16 bytes of RSS a step on benchmark3 and 18 on a
+# dense 30-state chain (the uniforms' 16 and one block's buffers), so one
+# call at the cap peaks near 0.16-0.18 GB
 MAX_ROLLOUT_HORIZON = 10**7
-# rollout steps whose leave masks are built together, so mask memory is S
-# bytes a step of one block, whatever the horizon
+# rollout steps walked together, so actions and leave masks take S bytes
+# each a step of one block, whatever the horizon
 ROLLOUT_BLOCK = 2**14
 
 
@@ -270,6 +272,29 @@ def oracle_loss(
     return min(long_run_divergence(d, kl_cost_table(m, q)), loss_scale) / loss_scale
 
 
+def _rollout_tables(m: MDPInstance, q: SubjectiveKernel, pi: np.ndarray, smoothing: float):
+    """The walk tables of one arm, which every rollout of it reuses.
+
+    ``(cuts, rows, lo, hi, cum_init, Q)``: the policy's cut points by action,
+    each (S, 1) column ``cum_pi[:, a]`` for a < A − 1; ``rows[x][a]``, the
+    cumulative kernel row of ``(x, a)`` as a Python list with its last entry
+    replaced by ``inf``; the (S, A) edges ``lo[x, a]`` and ``hi[x, a]``,
+    entries x − 1 (−inf for x = 0) and x of that row; the cumulative initial
+    law; and the conjecture with its zero-containing rows smoothed.
+    """
+    S, A = m.num_states, m.num_actions
+    cum_pi = np.cumsum(np.asarray(pi, dtype=float), axis=1)
+    cum_kernel = np.cumsum(m.kernel, axis=2)
+    cum_kernel[:, :, -1] = np.inf
+    edges = np.concatenate([np.full((S, A, 1), -np.inf), cum_kernel], axis=2)
+    diag = np.arange(S)
+    Q = q.kernel
+    Q = np.where(np.any(Q <= 0.0, axis=2, keepdims=True),
+                 (Q + smoothing) / (1.0 + S * smoothing), Q)
+    return (cum_pi[:, :-1].T[:, :, None], cum_kernel.tolist(), edges[diag, :, diag],
+            edges[diag, :, diag + 1], np.cumsum(m.initial_dist), Q)
+
+
 def rollout_loss(
     m: MDPInstance,
     q: SubjectiveKernel,
@@ -277,6 +302,7 @@ def rollout_loss(
     cfg: BanditConfig,
     loss_scale: float,
     rng: np.random.Generator,
+    tables: tuple | None = None,
 ) -> float:
     """Plug-in estimate of the long-run KL cost from a simulated trajectory.
 
@@ -284,92 +310,78 @@ def rollout_loss(
     first tenth as burn-in, builds additively smoothed empirical transition
     rows, and evaluates the frequency-weighted KL against the conjecture.
     Conjecture rows containing zeros are smoothed the same way so the
-    plug-in stays finite.
+    plug-in stays finite. ``tables`` are the arm's walk tables from
+    :func:`_rollout_tables`; a call without them builds its own.
 
-    Each step samples by inverse CDF from pre-drawn uniforms. The actions of
-    all steps are drawn at once: ``cuts`` holds every policy cut point (each
-    cumulative row of π without its last entry) in sorted order, and a
-    step's rank r is the number of cuts at or below its action uniform.
-    ``act[x, r]`` is the number of entries of ``cum_pi[x, :-1]`` at or below
-    the r-th smallest cut (r = 0 stands for −inf), which is the action state
-    x draws: no cut lies strictly between the r-th cut and the uniform, so in
-    every state the entries at or below one are those at or below the other.
-    The next state is ``bisect_right(row_at[x][r], u)``, where
-    ``row_at[x][r]`` is the cumulative kernel row of ``(x, act[x, r])`` as a
-    Python list. Every kernel row's last entry is replaced by ``inf``, and no
-    policy row's last entry is a cut; since the uniforms are below 1, this
-    clips a draw that lands past a cumulative sum rounded below 1 to the
-    last index.
+    Each step samples by inverse CDF from pre-drawn uniforms, and the steps
+    are taken ``ROLLOUT_BLOCK`` at a time. In a block, ``act[x, t]`` is the
+    number of state x's cuts ``cum_pi[x, :-1]`` at or below step t's action
+    uniform w, which is the action x draws there: the reference draw
+    ``min(searchsorted(cum_pi[x], w, "right"), A - 1)`` is the same count.
+    The cumulative row is non-decreasing, so the right-sided search counts
+    its entries at or below w; if the last entry is one of them, so are all
+    the others, and the clip leaves A − 1, the count of the cuts. This holds
+    for tied cuts (zero-probability actions), for rows whose sum rounds
+    below 1 or ends in zeros, and for A = 1, which has no cuts and draws
+    action 0. The next state is ``bisect_right(rows[x][a], v)``, where
+    ``rows[x][a]`` is the cumulative kernel row of (x, a) as a Python list
+    with its last entry replaced by ``inf``; since the uniforms are below 1,
+    this clips a draw past a sum rounded below 1 to the last index.
 
     The walk goes from one state change to the next. The row is sorted, so
-    ``bisect_right`` returns x exactly when ``lo[x, r] <= u < hi[x, r]``,
-    where ``hi`` is entry x of ``row_at[x][r]`` and ``lo`` is entry x − 1
-    (−inf for x = 0): these are the two comparisons the search makes at the
-    boundary of x's interval, on the same untouched floats. Each state's
-    leave mask, a ``bytes`` object, flags the steps that fail this stay
-    test, and ``bytes.find`` jumps to the next step at which the current
-    state is flagged. There the same ``bisect_right`` as in a per-step walk
-    gives the next state. This is exact: a flagged step is resolved by the
-    per-step walk's own search, a falsely flagged step would only hand back
-    x, and a leave cannot go unflagged, because the stay test is made of the
-    search's own comparisons. The masks are built ``ROLLOUT_BLOCK`` steps at
-    a time, so they take S bytes a step of one block. The path is kept as
-    its states in order and a byte per step marking where each is left;
-    ``np.repeat`` expands it and one ``np.bincount`` counts the transitions
-    after burn-in.
+    ``bisect_right`` returns x exactly when ``lo[x, a] <= v < hi[x, a]``,
+    where ``hi`` is entry x of the row and ``lo`` is entry x − 1 (−inf for
+    x = 0): these are the two comparisons the search makes at the boundary
+    of x's interval, on the same untouched floats. Each state's leave mask,
+    a ``bytes`` object, flags the block's steps at which that state, drawing
+    its own action, fails this stay test, and ``bytes.find`` jumps to the
+    next step at which the current state is flagged. There the same
+    ``bisect_right`` as in a per-step walk gives the next state. This is
+    exact: a flagged step is resolved by the per-step walk's own search, a
+    falsely flagged step would only hand back x, and a leave cannot go
+    unflagged, because the stay test is made of the search's own
+    comparisons. The walk's leave steps expand its states into the state of
+    every step of the block, ``act`` gives their actions, and one
+    ``np.bincount`` counts the block's transitions after burn-in. A block
+    holds S action bytes and S mask bytes a step, whatever the horizon.
     """
     S, A = m.num_states, m.num_actions
     H = cfg.rollout_horizon
     burn_in = H // 10
     alpha = cfg.rollout_smoothing
-
-    cum_pi = np.cumsum(np.asarray(pi, dtype=float), axis=1)
-    cum_kernel = np.cumsum(m.kernel, axis=2)
-    cum_init = np.cumsum(m.initial_dist)
+    cuts, rows, lo, hi, cum_init, Q = tables or _rollout_tables(m, q, pi, alpha)
     u = rng.random((H, 2))
     x = min(int(np.searchsorted(cum_init, rng.random(), side="right")), S - 1)
 
-    cuts = np.sort(cum_pi[:, :-1], axis=None)
-    ranks = np.searchsorted(cuts, u[:, 0], side="right")
-    # state x draws action a + 1 or later from rank start[x, a] on; runs[x, a]
-    # counts the ranks at which it draws a
-    start = np.searchsorted(cuts, cum_pi[:, :-1], side="left") + 1
-    runs = np.diff(start, prepend=0, append=cuts.size + 1, axis=1)
-    act = np.repeat(np.tile(np.arange(A), S), runs.ravel()).reshape(S, cuts.size + 1)
-    cum_kernel[:, :, -1] = np.inf
-    row_at = [list(chain.from_iterable(map(repeat, rows, runs_x)))
-              for rows, runs_x in zip(cum_kernel.tolist(), runs.tolist())]
-    # state x stays at a step of rank r exactly when lo[x, r] <= u < hi[x, r]
-    edges = np.concatenate([np.full((S, A, 1), -np.inf), cum_kernel], axis=2)
-    diag = np.arange(S)
-    lo = np.take_along_axis(edges[diag, :, diag], act, axis=1)
-    hi = np.take_along_axis(edges[diag, :, diag + 1], act, axis=1)
-
-    # states is a list, not an array('q'): its entries are the interpreter's
-    # cached small ints, 8 bytes each either way, and list.append is faster
-    states, left = [x], bytearray(H)
-    enter = states.append
+    counts = np.zeros(S * A * S, dtype=np.intp)
     for first in range(0, H, ROLLOUT_BLOCK):
-        r, v = ranks[first:first + ROLLOUT_BLOCK], u[first:first + ROLLOUT_BLOCK, 1]
-        find = [((v >= hi_x[r]) | (lo_x[r] > v)).tobytes().find for lo_x, hi_x in zip(lo, hi)]
-        r, v, mark = memoryview(r), memoryview(v), bytearray(len(r))
+        w, v = u[first:first + ROLLOUT_BLOCK].T.copy()
+        n = len(v)
+        act = np.zeros((S, n), np.min_scalar_type(A - 1))
+        for c in cuts:
+            act += w >= c
+        find = [((v >= hi_x.take(a)) | (lo_x.take(a) > v)).tobytes().find
+                for lo_x, hi_x, a in zip(lo, hi, act)]
+        acts, v_t = [memoryview(a) for a in act], memoryview(v)
+        states, leaves = [x], []
         t = find[x](1)
         while t >= 0:
-            x = bisect_right(row_at[x][r[t]], v[t])
-            enter(x)
-            mark[t] = 1
+            x = bisect_right(rows[x][acts[x][t]], v_t[t])
+            states.append(x)
+            leaves.append(t)
             t = find[x](1, t + 1)
-        left[first:first + ROLLOUT_BLOCK] = mark
-    xs = np.repeat(states, np.diff(np.flatnonzero(left), prepend=-1, append=H))
-    x_t = xs[burn_in:-1]
-    a_t = act[x_t, ranks[burn_in:]]
-    counts = np.bincount((x_t * A + a_t) * S + xs[burn_in + 1:], minlength=S * A * S)
+        del find  # release the masks before counting
+        # seq[t] is the state before the block's step t, seq[n] the state after it
+        seq = np.repeat(states, np.diff([-1, *leaves, n]))
+        skip = min(max(burn_in - first, 0), n)
+        x_t = seq[skip:-1]
+        a_t = act.take(x_t * n + np.arange(skip, n))
+        counts += np.bincount((x_t * A + a_t) * S + seq[skip + 1:], minlength=S * A * S)
+        del act, acts, leaves  # release them before the next block is built
     counts = counts.reshape(S, A, S).astype(float)
 
     visits = counts.sum(axis=2)
     p_hat = (counts + alpha) / (visits + S * alpha)[:, :, None]
-    Q = q.kernel
-    Q = np.where(np.any(Q <= 0.0, axis=2, keepdims=True), (Q + alpha) / (1.0 + S * alpha), Q)
     div = float(np.sum(visits / visits.sum() * kl_divergence(p_hat, Q)))
     return min(max(div, 0.0), loss_scale) / loss_scale
 
@@ -493,8 +505,9 @@ def _bandit_loop(
 
     Arms are identified by keys. ``arm_for(key)`` gives the conjecture
     ``family(key)`` and its softmax best response, ``oracle_for(key)`` the
-    arm's oracle loss; both are cached on first use, and the loss scale is
-    resolved over the initial arms. Each round samples an arm, takes its
+    arm's oracle loss and ``tables_for(key)`` its rollout walk tables; all
+    are cached on first use, and the loss scale is resolved over the initial
+    arms. Each round samples an arm, takes its
     loss (the oracle's, or a rollout of its policy), updates its count,
     running mean and weight, and records the round. With a ``zoom_cfg``,
     every ``zoom_interval`` rounds the arm set is rebuilt by
@@ -510,6 +523,10 @@ def _bandit_loop(
     def oracle_for(key):
         return oracle_loss(m, *arm_for(key), loss_scale)
 
+    @cache
+    def tables_for(key):
+        return _rollout_tables(m, *arm_for(key), cfg.rollout_smoothing)
+
     keys = list(keys)
     loss_scale = resolve_loss_scale(m, [arm_for(k)[0] for k in keys], cfg)
     weights, counts, means = [1.0] * len(keys), [0] * len(keys), [0.0] * len(keys)
@@ -524,9 +541,8 @@ def _bandit_loop(
             loss = oracle_for(keys[arm])
         else:
             q, pi = arm_for(keys[arm])
-            loss = rollout_loss(
-                m, q, pi, cfg, loss_scale, _round_rng(cfg.rng_seed, t, ROLLOUT_STREAM)
-            )
+            loss = rollout_loss(m, q, pi, cfg, loss_scale,
+                                _round_rng(cfg.rng_seed, t, ROLLOUT_STREAM), tables_for(keys[arm]))
         counts[arm] += 1
         means[arm] += (loss - means[arm]) / counts[arm]
         exp3_update(weights, arm, loss, p[arm], cfg.learning_rate)
@@ -686,6 +702,8 @@ def run_zoom_exp3(
     are left untouched, so the set is never empty. The initial arms are
     planned before the first round; an added arm is planned by the loop's
     arm table on its first pull, so arms pruned unpulled cost no planning.
+    Every initial parameter must lie within ``zoom_cfg.bounds``, which the
+    refinement grids never leave.
 
     Arm p's oracle loss is its own-data KL cost (see
     :func:`~berknash.equilibrium.bilevel_objective`) up to scale, so the run
@@ -700,4 +718,9 @@ def run_zoom_exp3(
     params = [float(p) for p in initial_params]
     if not params:
         raise ValueError("initial conjecture set must be nonempty")
+    lo, hi = zoom_cfg.bounds
+    outside = [p for p in params if not lo <= p <= hi]
+    if outside:
+        raise ValueError(f"initial parameters {outside} lie outside the zoom bounds "
+                         f"{zoom_cfg.bounds}")
     return _bandit_loop(m, family, params, cfg, soft_cfg, zoom_cfg)[1]

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from berknash import (
     ZoomConfig,
     benchmark3,
     bilevel_objective,
+    config_from_dict,
     exp3_update,
     kl_divergence,
     mixture_kernel,
     oracle_loss,
     rollout_loss,
+    run_experiment,
     run_exp3,
     run_zoom_exp3,
     sampling_distribution,
@@ -363,6 +366,23 @@ def test_rollout_memory_stays_flat_in_the_horizon():
     assert peak < 75 * H
 
 
+def test_rollout_memory_stays_flat_on_a_long_benchmark3_chain():
+    # twenty blocks: past the uniforms' 16 bytes a step, a call holds one
+    # block's actions, masks and counting buffers, not arrays of the horizon
+    m, cs = benchmark3()
+    q = cs.members[2]
+    pi, _, _ = soft_best_response(m.with_kernel(q.kernel), SoftPlanConfig(temperature=0.1))
+    H = 20 * learning.ROLLOUT_BLOCK
+    cfg = BanditConfig(loss_estimator="rollout", rollout_horizon=H, loss_scale=1.0)
+    tracemalloc.start()
+    try:
+        rollout_loss(m, q, pi, cfg, 1.0, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * H
+
+
 # one to five 32-bit words, so the entropy is shorter than, as long as and
 # longer than numpy's pool of four
 ARM_SEEDS = [0, 5, 11, 2**32 - 1, 2**32, 2**40, 2**64 + 5, 2**96 + 7, 2**130 + 3]
@@ -512,6 +532,30 @@ class TestRunExp3:
         planned = count_planning(monkeypatch)
         run_exp3(m, cs, BanditConfig(), SoftPlanConfig(temperature=0.1))
         assert len(planned) == len(cs) == 4
+
+    def test_builds_each_pulled_arms_walk_tables_once(self, tmp_path, monkeypatch):
+        # the rollout case study at seed 11 (the bench3-rollout config) pulls
+        # the four members (19, 10, 6, 5) times
+        built, pulled = [], Counter()
+        build, rollout = learning._rollout_tables, learning.rollout_loss
+
+        def counting_build(m, q, *args):
+            built.append(q.label)
+            return build(m, q, *args)
+
+        def counting_rollout(m, q, *args):
+            pulled[q.label] += 1
+            return rollout(m, q, *args)
+
+        monkeypatch.setattr(learning, "_rollout_tables", counting_build)
+        monkeypatch.setattr(learning, "rollout_loss", counting_rollout)
+        bandit = {"loss_estimator": "rollout", "loss_scale": 0.5, "horizon": 40,
+                  "learning_rate": 0.1, "exploration": 0.1}
+        run_experiment(config_from_dict({"experiment": "case-study", "seed": 11,
+                                         "bandit": bandit, "output_dir": str(tmp_path)}))
+        labels = [q.label for q in benchmark3()[1]]
+        assert tuple(pulled[label] for label in labels) == (19, 10, 6, 5)
+        assert built == list(pulled)
 
     def test_counts_sum_to_horizon(self):
         m, cs = benchmark3()
@@ -703,6 +747,12 @@ class TestRunZoomExp3:
         np.testing.assert_array_equal(zrec.running_mean, rec.running_mean)
         assert zrec.events == ()
         assert np.all((rec.losses >= 0.0) & (rec.losses <= 1.0))
+
+    def test_rejects_initial_params_outside_the_bounds(self):
+        m, family = self._setup()
+        with pytest.raises(ValueError, match=r"\[0\.9\].*zoom bounds"):
+            run_zoom_exp3(m, family, [0.2, 0.9], BanditConfig(horizon=5),
+                          ZoomConfig(bounds=(0.0, 0.5)), SoftPlanConfig(temperature=0.1))
 
     def test_zoom_run_invariants(self):
         m, family = self._setup()
