@@ -22,7 +22,7 @@ labels = [q.label for q in cs]
 print("conjectures:", labels)
 
 for mode, temp in (("hard", None), ("soft", 0.1)):
-    report = enumerate_equilibria(m, cs, mode=mode, temperature=temp)
+    report = enumerate_equilibria(m, cs, temperature=temp)
     print(f"\n--- {mode} mode ---")
     for diag in report.diagnostics:
         divs = ("-" if diag.divergence_vector is None
@@ -38,7 +38,7 @@ print("argmin:", best, f"({labels[best]})")
 
 # dissect the accepted pair (k, pi): the checker derives the occupation
 # measure, the true frequencies and model k's value itself
-entry = enumerate_equilibria(m, cs, mode="soft", temperature=0.1).equilibria[0]
+entry = enumerate_equilibria(m, cs, temperature=0.1).equilibria[0]
 k, pi = entry.model_index, entry.policy
 feas = check_joint_feasibility(m, cs, k, pi, temperature=0.1)
 print(f"\nfeasibility residuals for the accepted pair (model {k}):")

@@ -24,7 +24,6 @@ from .models import (
     long_run_divergence,
     mixture_family,
     mixture_kernel,
-    pseudo_true_set,
 )
 from .simplex import (
     InfeasibleLPError,

@@ -19,12 +19,13 @@ from .mdp import (
     ReducibleChainError,
     state_action_frequencies,
 )
-from .models import TIE_TOL, ConjectureSet, divergence_vector, kl_cost_table, long_run_divergence
+from .models import ConjectureSet, divergence_vector, kl_cost_table, long_run_divergence
 from .planning import greedy_sets, occupation_of_policy, policy_from_occupation, value_iteration
 from .simplex import LinearProgram, simplex_solve
 from .soft_planning import SoftPlanConfig, soft_best_response
 
-# Largest residual a condition group may carry in an accepted equilibrium.
+# Largest residual a condition group may carry in an accepted equilibrium,
+# and the widest KL gap between two models that still ties them.
 FEAS_TOL = 1e-7
 
 GROUP_SUBJECTIVE_FLOW = "subjective_flow"
@@ -72,13 +73,20 @@ class CandidateDiagnostic:
             gaps = np.delete(self.divergence_vector - self.divergence, self.model_index)
             return float(gaps.min(initial=np.inf))
 
+    @property
+    def tied(self) -> tuple[int, ...]:
+        """The j != k with |D_j - D_k| <= FEAS_TOL at the candidate's own
+        frequencies: () with one model or a reducible true chain."""
+        if self.divergence_vector is None:
+            return ()
+        close = np.abs(self.divergence_vector - self.divergence) <= FEAS_TOL
+        return tuple(int(j) for j in np.flatnonzero(close) if j != self.model_index)
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
     """One diagnostic per model; the accepted ones are the equilibria."""
 
-    mode: str
-    temperature: float | None
     diagnostics: tuple[CandidateDiagnostic, ...]
 
     @property
@@ -146,7 +154,8 @@ def _max_margin_policy(m: MDPInstance, m_k: MDPInstance, costs: list[np.ndarray]
     """Greedy policy of model k whose true frequencies favour k most: the row
     normalization of the d* that maximizes t over d(x,a) >= 0 on k's greedy
     pairs and a free t, subject to sum d = 1, true flow balance at every
-    state and d.(c_k - c_j) + t <= 0 for each j != k (t <= 0 with one
+    state but the last (implied by the others and sum d = 1) and
+    d.(c_k - c_j) + t <= 0 for each j != k (t <= 0 with one
     model). If d*'s true chain is reducible (a vertex may leave states
     without mass), d* is mixed with the true frequencies d_u of the uniform
     greedy policy, giving up at most FEAS_TOL / 2 of margin; if d_u's chain
@@ -158,13 +167,15 @@ def _max_margin_policy(m: MDPInstance, m_k: MDPInstance, costs: list[np.ndarray]
     xs, acts = np.repeat(np.arange(S), sizes), np.concatenate(sets)
     others = [j for j in range(len(costs)) if j != k] or [k]
     margin_rows = np.array([(costs[k] - costs[j])[xs, acts] for j in others])
-    rows = np.vstack([np.ones(xs.size), (xs == np.arange(S)[:, None]) - m.kernel[xs, acts].T,
-                      margin_rows])
-    t_col = np.repeat([0.0, 1.0], [1 + S, len(others)])  # t enters the margin rows only
+    # the S balance rows sum to zero, so the last state's is dropped: kept,
+    # its round-off can stall phase 1 on a degenerate pivot
+    balance = (xs == np.arange(S - 1)[:, None]) - m.kernel[xs, acts, :-1].T
+    rows = np.vstack([np.ones(xs.size), balance, margin_rows])
+    t_col = np.repeat([0.0, 1.0], [S, len(others)])  # t enters the margin rows only
     lp = LinearProgram(objective=np.append(np.zeros(xs.size), 1.0),
                        constraints=np.column_stack([rows, t_col]),
                        rhs=np.append(1.0, np.zeros(len(rows) - 1)),
-                       senses=("=",) * (1 + S) + ("<=",) * len(others),
+                       senses=("=",) * S + ("<=",) * len(others),
                        lower_bounds=np.append(np.zeros(xs.size), -np.inf), maximize=True)
     sol = simplex_solve(lp)
     d = np.zeros((S, m.num_actions))
@@ -186,12 +197,10 @@ def _max_margin_policy(m: MDPInstance, m_k: MDPInstance, costs: list[np.ndarray]
 
 
 def enumerate_equilibria(
-    m: MDPInstance,
-    cs: ConjectureSet,
-    mode: str = "hard",
-    temperature: float | None = None,
+    m: MDPInstance, cs: ConjectureSet, temperature: float | None = None,
 ) -> EquilibriumReport:
-    """Search every conjecture for a self-confirming best response.
+    """Search every conjecture for a self-confirming best response, in hard
+    mode if ``temperature`` is None.
 
     For each model k one best response is computed (hard: the greedy policy
     whose true frequencies give k the largest KL margin, by one LP; soft: the
@@ -205,17 +214,12 @@ def enumerate_equilibria(
     vertex has a reducible chain. Beliefs are point beliefs: a policy
     optimal only under a mixture of models is not searched.
     """
-    if mode not in ("hard", "soft"):
-        raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-    if mode == "soft" and temperature is None:
-        raise ValueError("soft mode requires a temperature")
-
     costs = [kl_cost_table(m, q) for q in cs]
     diagnostics: list[CandidateDiagnostic] = []
 
     for k, member in enumerate(cs):
         m_k = m.with_kernel(member.kernel)
-        if mode == "hard":
+        if temperature is None:
             pi = _max_margin_policy(m, m_k, costs, k)
         else:
             pi, _, _ = soft_best_response(m_k, SoftPlanConfig(temperature=temperature))
@@ -229,7 +233,7 @@ def enumerate_equilibria(
             if divs[k] > divs.min() + FEAS_TOL:
                 reason = f"not KL-minimal: D_k={divs[k]:.6g} vs min {divs.min():.6g}"
             else:
-                feas = check_joint_feasibility(m, cs, k, pi, temperature if mode == "soft" else None)
+                feas = check_joint_feasibility(m, cs, k, pi, temperature)
                 reason = (
                     "equilibrium" if feas.passed else
                     f"feasibility re-check failed: {', '.join(feas.failed_groups)}"
@@ -239,7 +243,7 @@ def enumerate_equilibria(
             divergence_vector=divs, feasibility=feas,
         ))
 
-    return EquilibriumReport(mode=mode, temperature=temperature, diagnostics=tuple(diagnostics))
+    return EquilibriumReport(diagnostics=tuple(diagnostics))
 
 
 def bilevel_objective(
@@ -262,6 +266,10 @@ def bilevel_objective(
     )
     d = state_action_frequencies(m, pi)
     return long_run_divergence(d, kl_cost_table(m, member))
+
+
+# Selection objectives this close to the minimum tie.
+TIE_TOL = 1e-9
 
 
 def entropy_bn_select(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import FEAS_TOL, RESIDUAL_GROUPS, enumerate_equilibria
+from .equilibrium import RESIDUAL_GROUPS, enumerate_equilibria
 from .learning import BanditConfig, ZoomConfig, run_exp3, run_zoom_exp3
 from .mdp import MDPInstance, policy_value, validate_instance
 from .models import ConjectureSet, SubjectiveKernel, mixture_family, mixture_kernel
@@ -548,17 +548,12 @@ def _run_zooming(cfg: ExperimentConfig) -> _Output:
 
 
 def _run_equilibrium_report(cfg: ExperimentConfig) -> _Output:
-    eq = cfg.equilibrium
-    modes = ("hard", "soft") if eq.mode == "both" else (eq.mode,)
+    temperatures = {"hard": None, "soft": cfg.soft.temperature}  # None is hard mode
+    modes = temperatures if cfg.equilibrium.mode == "both" else (cfg.equilibrium.mode,)
     rows = []  # (mode, diagnostic), one per CSV row
     summary = []
     for mode in modes:
-        report = enumerate_equilibria(
-            cfg.instance,
-            cfg.conjectures,
-            mode=mode,
-            temperature=cfg.soft.temperature if mode == "soft" else None,
-        )
+        report = enumerate_equilibria(cfg.instance, cfg.conjectures, temperatures[mode])
         rows += [(mode, diag) for diag in report.diagnostics]
         summary.append(f"mode={mode}: {len(report.equilibria)} equilibrium(ia)")
         for e in report.equilibria:
@@ -566,14 +561,11 @@ def _run_equilibrium_report(cfg: ExperimentConfig) -> _Output:
                 f"  model {e.model_index} ({_escaped(e.label)}), kl_margin={e.kl_margin:.6g}, "
                 f"divergence={e.divergence:.6g}"
             )
-            if e.kl_margin <= FEAS_TOL:
+            if e.tied:
                 tied = [f"model {j} ({_escaped(cfg.conjectures.members[j].label)})"
-                        for j, d_j in enumerate(e.divergence_vector)
-                        if j != e.model_index and abs(d_j - e.divergence) <= FEAS_TOL]
-                summary.append(
-                    f"    tied in KL with {', '.join(tied)}: "
-                    "beliefs mixing the tied models are not searched"
-                )
+                        for j in e.tied]
+                summary.append(f"    tied in KL with {', '.join(tied)}: "
+                               "beliefs mixing the tied models are not searched")
     columns = {"mode": [mode for mode, _ in rows]}
     # kl_margin is None, and written blank, where the true chain is reducible
     for name in ("model_index", "label", "accepted", "kl_margin", "reason"):

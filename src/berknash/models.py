@@ -6,10 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MDPInstance, ROW_SUM_TOL, state_action_frequencies
-
-# Divergences (and selection objectives) this close to the minimum tie.
-TIE_TOL = 1e-9
+from .mdp import MDPInstance, ROW_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -101,17 +98,6 @@ def long_run_divergence(d: np.ndarray, c: np.ndarray) -> float:
 def divergence_vector(m: MDPInstance, cs: ConjectureSet, d: np.ndarray) -> np.ndarray:
     """Long-run divergence of every conjecture under fixed frequencies ``d``."""
     return np.array([long_run_divergence(d, kl_cost_table(m, q)) for q in cs])
-
-
-def pseudo_true_set(m: MDPInstance, cs: ConjectureSet, pi: np.ndarray) -> list[int]:
-    """Indices of conjectures minimizing the long-run divergence under ``pi``.
-
-    All indices within ``TIE_TOL`` of the minimum are returned, so exact
-    argmin ties survive floating point.
-    """
-    d = state_action_frequencies(m, pi)
-    divs = divergence_vector(m, cs, d)
-    return [int(k) for k in np.flatnonzero(divs <= divs.min() + TIE_TOL)]
 
 
 def mixture_kernel(m: MDPInstance, eps: float) -> SubjectiveKernel:

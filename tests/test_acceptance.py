@@ -238,7 +238,7 @@ def test_criterion_6_joint_feasibility(bench, monkeypatch):
     reference = None
     for mi, csi in cases:
         for mode, temp in (("hard", None), ("soft", 0.1)):
-            report = enumerate_equilibria(mi, csi, mode=mode, temperature=temp)
+            report = enumerate_equilibria(mi, csi, temperature=temp)
             if not report.equilibria:
                 problems.append(f"no equilibrium found in mode {mode}")
                 continue
@@ -300,7 +300,7 @@ def test_criterion_7_true_model_recovery():
         if best != truth_at or values[truth_at] != 0.0:
             problems.append(f"[{i}] selection missed the true model")
             break
-        report = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
+        report = enumerate_equilibria(m, cs, temperature=0.1)
         if truth_at not in [e.model_index for e in report.equilibria]:
             problems.append(f"[{i}] true model missing from equilibrium set")
             break

@@ -34,7 +34,7 @@ from _helpers import action1_family, action1_fixed_points, random_instance
 class TestCheckJointFeasibility:
     def setup_method(self):
         self.m, self.cs = benchmark3()
-        report = enumerate_equilibria(self.m, self.cs, mode="hard")
+        report = enumerate_equilibria(self.m, self.cs)
         assert report.equilibria, "benchmark must have a hard equilibrium"
         entry = report.equilibria[0]
         self.k = entry.model_index
@@ -112,7 +112,7 @@ class TestEnumerateEquilibria:
         rng = np.random.default_rng(0)
         m = random_instance(rng)
         cs = ConjectureSet(members=(SubjectiveKernel(kernel=m.kernel, label="truth"),))
-        report = enumerate_equilibria(m, cs, mode="hard")
+        report = enumerate_equilibria(m, cs)
         assert len(report.equilibria) == 1
         assert report.equilibria[0].model_index == 0
         assert report.equilibria[0].divergence == 0.0
@@ -125,23 +125,44 @@ class TestEnumerateEquilibria:
             SubjectiveKernel(kernel=m.kernel, label="truth"),
             mixture_kernel(m, 0.15),
         )
-        report = enumerate_equilibria(m, ConjectureSet(members=members), mode="hard")
+        report = enumerate_equilibria(m, ConjectureSet(members=members))
         assert 1 in [e.model_index for e in report.equilibria]
 
     def test_benchmark_equilibrium_both_modes(self):
         m, cs = benchmark3()
-        hard = enumerate_equilibria(m, cs, mode="hard")
-        soft = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
-        # hard mode ignores a temperature: its re-check certifies hard optimality
-        hard_t = enumerate_equilibria(m, cs, mode="hard", temperature=0.1)
+        hard = enumerate_equilibria(m, cs)
+        soft = enumerate_equilibria(m, cs, temperature=0.1)
         assert [e.model_index for e in hard.equilibria] == [0]
         assert [e.model_index for e in soft.equilibria] == [0]
-        assert [e.model_index for e in hard_t.equilibria] == [0]
+
+    def test_temperature_alone_selects_soft_mode(self):
+        # a temperature is the soft mode: its softmax policies, re-checked
+        # for soft optimality; None is the hard mode's max-margin LP
+        m, cs = benchmark3()
+        soft = enumerate_equilibria(m, cs, temperature=0.1).diagnostics
+        for k, diag in enumerate(soft):
+            pi, _, _ = soft_best_response(m.with_kernel(cs.members[k].kernel),
+                                          SoftPlanConfig(temperature=0.1))
+            np.testing.assert_array_equal(diag.policy, pi)
+        hard = enumerate_equilibria(m, cs, None).diagnostics
+        assert not np.array_equal(hard[0].policy, soft[0].policy)
+        assert hard[0].feasibility.residuals[GROUP_OPTIMALITY] <= FEAS_TOL
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6, 1e-5])
+    def test_max_margin_lp_solves_near_ties(self, eps):
+        # benchmark3's truth against a rival eps away: with all S balance
+        # rows, phase 1 stalled at eps = 1e-7..1e-5 on round-off in the
+        # redundant row and reported the LP infeasible
+        m, _ = benchmark3()
+        report = enumerate_equilibria(m, mixture_family(m, [0.0, eps]))
+        assert [e.model_index for e in report.equilibria] == [0, 1]
+        for e in report.equilibria:
+            assert abs(e.kl_margin) <= FEAS_TOL and e.tied == (1 - e.model_index,)
 
     def test_benchmark_hard_margins(self):
         # each model's largest KL margin over greedy policies; only model 0's is positive
         m, cs = benchmark3()
-        report = enumerate_equilibria(m, cs, mode="hard")
+        report = enumerate_equilibria(m, cs)
         np.testing.assert_allclose([d.kl_margin for d in report.diagnostics],
                                    [0.0690345, -0.0690345, -0.1849363, -0.3170601], atol=1e-7)
 
@@ -156,14 +177,14 @@ class TestEnumerateEquilibria:
             SubjectiveKernel(kernel=[[[1 - p, p]] * 2, [[0.5, 0.5]] * 2], label=f"p={p}")
             for p in (0.1, 0.3, 0.6)
         ))
-        hard = enumerate_equilibria(m, cs, mode="hard")
+        hard = enumerate_equilibria(m, cs)
         assert [e.model_index for e in hard.equilibria] == [0, 1, 2]
         interior = hard.equilibria[1]
         np.testing.assert_allclose(interior.policy[0], [0.7355, 0.2645], atol=1e-4)
         assert interior.kl_margin == pytest.approx(0.1043, abs=1e-4)
         # entropy regularization picks the uniform mixture, which only p = 0.6 fits
         for lam in (1e-3, 0.1, 10.0):
-            soft = enumerate_equilibria(m, cs, mode="soft", temperature=lam)
+            soft = enumerate_equilibria(m, cs, temperature=lam)
             assert [e.model_index for e in soft.equilibria] == [2], lam
 
     @staticmethod
@@ -180,7 +201,7 @@ class TestEnumerateEquilibria:
         # and correct, so the one model must still be accepted
         m = self._self_loop_instance()
         cs = ConjectureSet(members=(SubjectiveKernel(kernel=m.kernel, label="truth"),))
-        (diag,) = enumerate_equilibria(m, cs, mode="hard").diagnostics
+        (diag,) = enumerate_equilibria(m, cs).diagnostics
         assert diag.accepted, diag.reason
         assert diag.kl_margin == np.inf
         np.testing.assert_allclose(diag.policy, [[0.5, 0.5], [0.5, 0.5]])
@@ -194,7 +215,7 @@ class TestEnumerateEquilibria:
         wrong[0, 0] = [0.5, 0.5]
         cs = ConjectureSet(members=(SubjectiveKernel(kernel=m.kernel, label="truth"),
                                     SubjectiveKernel(kernel=wrong, label="wrong")))
-        truth, misread = enumerate_equilibria(m, cs, mode="hard").diagnostics
+        truth, misread = enumerate_equilibria(m, cs).diagnostics
         assert truth.accepted, truth.reason
         assert truth.kl_margin == pytest.approx(np.log(2), abs=FEAS_TOL / 2 + 1e-9)
         assert 0.0 < truth.policy[0, 1] < 1e-7
@@ -214,7 +235,7 @@ class TestEnumerateEquilibria:
         cs = ConjectureSet(members=(SubjectiveKernel(kernel=kernel, label="truth"),
                                     SubjectiveKernel(kernel=loop0, label="loop0"),
                                     SubjectiveKernel(kernel=loop1, label="loop1")))
-        truth = enumerate_equilibria(m, cs, mode="hard").diagnostics[0]
+        truth = enumerate_equilibria(m, cs).diagnostics[0]
         a, b = np.log(2), -np.log(0.8)  # each rival's KL cost on its loop
         assert truth.accepted, truth.reason
         assert truth.kl_margin == pytest.approx(a * b / (a + b), abs=FEAS_TOL / 2 + 1e-9)
@@ -227,8 +248,8 @@ class TestEnumerateEquilibria:
         m, _ = benchmark3()
         grid = np.linspace(0.0, 1.0, 11).tolist()
         cs = action1_family(m, grid)
-        hard = enumerate_equilibria(m, cs, mode="hard")
-        soft = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
+        hard = enumerate_equilibria(m, cs)
+        soft = enumerate_equilibria(m, cs, temperature=0.1)
         [theta_star] = action1_fixed_points(m, 1e-4)
         nearest = min(grid, key=lambda theta: abs(theta - theta_star))
         assert [cs.members[e.model_index].param for e in hard.equilibria] == [nearest] == [0.2]
@@ -248,28 +269,50 @@ class TestEnumerateEquilibria:
 
     def test_every_reported_equilibrium_reverified(self):
         m, cs = benchmark3()
-        for mode, temp in (("hard", None), ("soft", 0.1)):
-            report = enumerate_equilibria(m, cs, mode=mode, temperature=temp)
+        for temp in (None, 0.1):
+            report = enumerate_equilibria(m, cs, temperature=temp)
             for entry in report.equilibria:
                 assert entry.feasibility.passed
                 assert max(entry.feasibility.residuals.values()) <= 1e-7
 
-    def test_soft_mode_requires_temperature(self):
-        m, cs = benchmark3()
-        with pytest.raises(ValueError, match="temperature"):
-            enumerate_equilibria(m, cs, mode="soft")
-
-    def test_unknown_mode_rejected(self):
-        m, cs = benchmark3()
-        with pytest.raises(ValueError, match="mode"):
-            enumerate_equilibria(m, cs, mode="fuzzy")
-
     def test_diagnostics_cover_all_models(self):
         m, cs = benchmark3()
-        report = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
+        report = enumerate_equilibria(m, cs, temperature=0.1)
         assert sorted(d.model_index for d in report.diagnostics) == [0, 1, 2, 3]
         rejected = [d for d in report.diagnostics if not d.accepted]
         assert all("not KL-minimal" in d.reason for d in rejected)
+
+
+class TestTied:
+    def test_soft_near_tie_names_both_models(self):
+        # at lambda = 1e-6 the rival 1e-12 away fits the data as well as the
+        # truth, so each accepted model is tied with the other
+        m, _ = benchmark3()
+        report = enumerate_equilibria(m, mixture_family(m, [0.0, 1e-12]), temperature=1e-6)
+        assert [(e.model_index, e.tied) for e in report.equilibria] == [(0, (1,)), (1, (0,))]
+        assert all(e.kl_margin <= FEAS_TOL for e in report.equilibria)
+
+    def test_distant_rivals_are_not_tied(self):
+        m, cs = benchmark3()
+        for diag in enumerate_equilibria(m, cs).diagnostics:
+            assert diag.tied == () and abs(diag.kl_margin) > FEAS_TOL
+
+    def test_one_model_has_no_ties(self):
+        m, _ = benchmark3()
+        (diag,) = enumerate_equilibria(m, mixture_family(m, [0.1])).diagnostics
+        assert diag.accepted and diag.kl_margin == np.inf and diag.tied == ()
+
+    def test_reducible_candidate_has_no_ties(self):
+        # every action stays put: each true chain splits, so no candidate
+        # has a divergence vector to compare
+        kernel = np.stack([np.eye(2), np.eye(2)], axis=1)
+        m = MDPInstance(kernel=kernel, rewards=np.eye(2), discount=0.9,
+                        initial_dist=[0.5, 0.5])
+        cs = mixture_family(m, [0.0, 0.1])
+        for temp in (None, 0.1):
+            for diag in enumerate_equilibria(m, cs, temp).diagnostics:
+                assert diag.divergence_vector is None and diag.tied == ()
+                assert diag.reason.startswith("skipped: chain is reducible")
 
 
 class TestBilevelObjective:
@@ -308,6 +351,9 @@ class TestBilevelObjective:
 
 
 class TestEntropyBNSelect:
+    def test_tie_tolerance(self):
+        assert equilibrium.TIE_TOL == 1e-9
+
     def test_true_model_selected_with_zero_objective(self):
         rng = np.random.default_rng(4)
         m = random_instance(rng)
@@ -337,7 +383,7 @@ class TestEntropyBNSelect:
     def test_selection_consistent_with_enumeration(self):
         m, cs = benchmark3()
         best, _ = entropy_bn_select(m, cs, 0.1)
-        report = enumerate_equilibria(m, cs, mode="soft", temperature=0.1)
+        report = enumerate_equilibria(m, cs, temperature=0.1)
         assert best in [e.model_index for e in report.equilibria]
 
 

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from berknash import (
     ConjectureSet,
     SubjectiveKernel,
+    divergence_vector,
     kl_cost_table,
     kl_divergence,
     long_run_divergence,
     mixture_family,
     mixture_kernel,
-    pseudo_true_set,
     state_action_frequencies,
     uniform_policy,
 )
-from berknash.models import TIE_TOL
 from _helpers import random_instance, random_policy
 
 
@@ -145,6 +144,13 @@ class TestLongRunDivergence:
 
 
 class TestPseudoTrueSet:
+    """The pseudo-true model under a policy is the argmin of the long-run
+    divergence at the policy's true frequencies."""
+
+    @staticmethod
+    def _pseudo_true(m, cs, pi):
+        return int(divergence_vector(m, cs, state_action_frequencies(m, pi)).argmin())
+
     def test_true_kernel_always_wins(self):
         rng = np.random.default_rng(7)
         m = random_instance(rng)
@@ -155,31 +161,23 @@ class TestPseudoTrueSet:
                 mixture_kernel(m, 0.2),
             )
         )
-        chosen = pseudo_true_set(m, cs, uniform_policy(3, 2))
-        assert chosen == [1]
+        assert self._pseudo_true(m, cs, uniform_policy(3, 2)) == 1
 
     def test_singleton_set(self):
         rng = np.random.default_rng(8)
         m = random_instance(rng)
         cs = ConjectureSet(members=(mixture_kernel(m, 0.3),))
-        assert pseudo_true_set(m, cs, uniform_policy(3, 2)) == [0]
+        assert self._pseudo_true(m, cs, uniform_policy(3, 2)) == 0
 
     def test_benchmark_grid_minimizer_is_smallest_eps(self):
         from berknash import benchmark3
 
         m, cs = benchmark3()
+        assert cs.members[0].label == "eps=0.05"
         rng = np.random.default_rng(9)
         policies = [uniform_policy(3, 2)] + [random_policy(rng, 3, 2) for _ in range(5)]
         for pi in policies:
-            assert pseudo_true_set(m, cs, pi) == [0]
-
-    def test_tie_tolerance_stability(self):
-        rng = np.random.default_rng(10)
-        m = random_instance(rng)
-        cs = mixture_family(m, [0.1, 0.3])
-        pi = uniform_policy(3, 2)
-        assert TIE_TOL == 1e-9
-        assert pseudo_true_set(m, cs, pi) == [0]
+            assert self._pseudo_true(m, cs, pi) == 0
 
 
 class TestMixtureFamily:

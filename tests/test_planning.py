@@ -137,7 +137,7 @@ class TestBestResponsePolicy:
         # with one model every greedy policy is an equilibrium: hard mode
         # reports one, with no rival to hold a margin against
         m = self._tied_instance()
-        report = enumerate_equilibria(m, mixture_family(m, [0.1]), mode="hard")
+        report = enumerate_equilibria(m, mixture_family(m, [0.1]))
         assert len(report.diagnostics) == 1 and report.equilibria == report.diagnostics
         entry = report.equilibria[0]
         assert entry.kl_margin == np.inf
